@@ -6,13 +6,15 @@ Run from a checkout of the repository.  pgf is imported from its src/
 directory; nothing is installed.  The run sets up MIN_SETUPS times, then
 runs whole rounds of the workload's operations while another round still
 ends within S seconds (at least one), so every run attempts the same
-operations in the same proportion.  The seed fixes the order of the
-operations in each round; the inputs are fixed acceptance specs, so every
-count is the same for every seed.
+operations in the same proportion.  Within a round the repeats of each
+operation are spread evenly (schedule()); the seed only orders the
+operations that share a place.  The inputs are fixed acceptance specs and
+fixed identity samples, so every count is the same for every seed.
 
 Each `pgf` command runs as a child process (one at a time) in a fresh
 working directory under .perfbench/work, without PGF_CACHE_DIR and without
 --cache-dir, so every run computes and nothing lands in the repository.
+The children and this process run numpy's BLAS on one thread (THREADS).
 The identity suites and the search call pgf in this process.  Every output
 is checked by checks.py.  The last line of stdout is the result JSON; it is
 also written, with the trace of a traced run, under .perfbench/.
@@ -55,9 +57,12 @@ SEARCH_NODES = 2000            # node budget N of the cross-modulus search
 IDENTITY_SAMPLES = 10 ** 4     # check_class3_identities default sample count
 IDENTITY_EXHAUSTIVE = 300      # the suite is exhaustive up to this order
 # repeats per round of the operations whose single times spread most
-SMALL_REPS = 6                 # the short commands of small-exhaustive
+SMALL_REPS = 14                # the short commands of small-exhaustive
 SAMPLED_REPS = 8               # a sampled identity suite, each on a fresh group
 DECISION_REPS = 2              # an isoclinism decision through the CLI
+INVARIANT_REPS = 4             # the invariants command of beyond-table
+# idle BLAS threads would take the second of two cores from the timed work
+THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 IMPORT_CODE = "import time; t = time.perf_counter(); import pgf.cli; print(time.perf_counter() - t)"
 
 TIMED_KINDS = ("invariants", "verify", "isoclinic", "identities")
@@ -70,6 +75,7 @@ class Op:
     args: tuple                # pgf CLI arguments, or the specs of an in-process call
     expect: str = ""           # isoclinic | refuted, for decisions
     reps: int = 1
+    at: float = 0.5            # where a single run of it sits in a round, 0..1
 
     @property
     def key(self) -> str:
@@ -98,20 +104,33 @@ WORKLOADS = {
         _cli("verify", "hmod:p=3,m=2", "all"),
         _cli("isoclinic", "hmod:p=7,m=1", "quint:p=7,m=1", expect="isoclinic",
              reps=DECISION_REPS),
-        _cli("invariants", "hmod:p=3,m=2,modulus=[2,1,1]"),
+        _cli("invariants", "hmod:p=7,m=1", reps=INVARIANT_REPS),
         Op("identities", ("quint:p=3,m=2",), reps=SAMPLED_REPS),
     ),
     # memo-table reads and the backtracking search; the cross-modulus
     # search is isomorphic input that the search cannot decide within N
     # nodes today, counted as failed and timed by no metric
     "small-exhaustive": (
-        Op("identities", ("hmod:p=3,m=1",)),
-        Op("search", ("quint:p=3,m=2", "quint:p=3,m=2,modulus=[2,1,1]")),
+        Op("identities", ("hmod:p=3,m=1",), at=1 / 3),
+        Op("search", ("quint:p=3,m=2", "quint:p=3,m=2,modulus=[2,1,1]"), at=2 / 3),
         _cli("invariants", "quint:p=3,m=1", reps=SMALL_REPS),
         _cli("verify", "quint:p=3,m=1", "all", reps=SMALL_REPS),
         _cli("isoclinic", "hmod:p=3,m=1", "quint:p=3,m=1", expect="isoclinic", reps=SMALL_REPS),
     ),
 }
+
+
+def schedule(ops, rng: random.Random) -> list:
+    """The (op, rep) pairs of one round, each op's repeats spread evenly.
+
+    Repeat k of an op with r repeats sits at (k + 0.5) / r of the round, so
+    every metric samples the whole run and a slow stretch of the shared
+    host falls on every kind of operation alike.  rng orders the pairs that
+    share a place.
+    """
+    slots = [(op.at if op.reps == 1 else (k + 0.5) / op.reps, rng.random(), i, k)
+             for i, op in enumerate(ops) for k in range(op.reps)]
+    return [(ops[i], k) for *_, i, k in sorted(slots)]
 
 
 class Bench:
@@ -123,6 +142,7 @@ class Bench:
                            for i in range(op.reps) for s in op.args]
         self.work = OUT / "work"
         self.work.mkdir(parents=True, exist_ok=True)
+        os.environ.update(THREADS)     # before numpy is first imported
         self.env = {k: v for k, v in os.environ.items() if k != "PGF_CACHE_DIR"}
         self.env["PYTHONPATH"] = str(SRC)
         sys.path.insert(0, str(SRC))
@@ -230,12 +250,10 @@ class Bench:
             return 0.0, "failed", [traceback.format_exc()]
 
     def round(self, index: int, groups: dict) -> list:
-        ops = [(op, rep) for op in self.ops for rep in range(op.reps)]
-        random.Random(f"{self.seed}:{index}").shuffle(ops)
         if self.tracer is not None:
             self.tracer.reset()
         records = []
-        for op, rep in ops:
+        for op, rep in schedule(self.ops, random.Random(f"{self.seed}:{index}")):
             dt, status, problems = self.run_op(op, rep, groups)
             if op.kind in IN_PROCESS:
                 gc.collect()       # free the op's groups now, outside any timing
