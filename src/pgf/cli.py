@@ -31,13 +31,16 @@ EXIT_INCONCLUSIVE = 4
 SUITES = ("a2", "structural", "presentation")
 
 
+def _add_output(sp: argparse.ArgumentParser, force_help: str):
+    sp.add_argument("--force", action="store_true", help=force_help)
+    sp.add_argument("--pretty", action="store_true",
+                    help="render the report as a table instead of raw JSON")
+
+
 def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--cache-dir", default=None,
                     help="directory for cached results (default: $PGF_CACHE_DIR, else no cache)")
-    sp.add_argument("--force", action="store_true",
-                    help="recompute cached results; lift the isoclinism search cap")
-    sp.add_argument("--pretty", action="store_true",
-                    help="render the report as a table instead of raw JSON")
+    _add_output(sp, "recompute cached results")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks; exhaustive checks ignore it")
 
@@ -56,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=SUITES + ("all",))
     _add_common(p)
 
+    # an isoclinism decision neither caches nor samples, so it takes
+    # neither --cache-dir nor --seed
     p = sub.add_parser("isoclinic", help="decide isoclinism of two groups")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    _add_common(p)
+    _add_output(p, "lift the isoclinism search cap")
 
     p = sub.add_parser("kappa", help="field structure constants as JSON")
     p.add_argument("p", type=int)

@@ -33,6 +33,12 @@ def _pack_positions(d: int) -> list[tuple[int, int]]:
     return [(r, c) for r in range(d) for c in range(r)]
 
 
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """The columns of a row matrix, each contiguous: field ops on them run
+    about three times faster than on the strided columns of the rows."""
+    return np.ascontiguousarray(rows.T)
+
+
 class MatrixBackend(Backend):
     """d x d lower unitriangular matrices over GF(q), packed row-major.
 
@@ -56,13 +62,14 @@ class MatrixBackend(Backend):
 
     def mul_rows(self, a, b):
         ops = self.ops
+        a, b = _columns(a), _columns(b)
         out = np.empty_like(a)
         for t in range(self.width):
-            acc = ops.add(a[:, t], b[:, t])
+            acc = ops.add(a[t], b[t])
             for ta, tb in self.middle[t]:
-                acc = ops.add(acc, ops.mul(a[:, ta], b[:, tb]))
-            out[:, t] = acc
-        return out
+                acc = ops.add(acc, ops.mul(a[ta], b[tb]))
+            out[t] = acc
+        return out.T
 
     def inv_rows(self, a):
         # (I + N)^-1 = I - N + N^2 - ... with N nilpotent of degree < d
@@ -91,15 +98,36 @@ class MatrixBackend(Backend):
 H_SLOTS = {"a": 0, "c": 1, "b": 2, "d": 3, "ab_c": 4, "a2": 5, "f": 6, "e": 7, "c2": 8, "b2": 9}
 
 
+# the six free slots of the chart code, least significant first
+H_CHART = ("d", "a", "f", "e", "c", "b")
+
+
 class PatternedU5Backend(MatrixBackend):
     """The 5x5 unitriangular backend restricted to the tied-entry pattern.
 
     check_rows asserts the ties, so a breadth-first closure that stays
     green is an executable proof the pattern is multiplication-closed.
+
+    A row's code is its six-parameter chart code, radix q per free slot,
+    least significant first in the order H_CHART = (d, a, f, e, c, b), so
+    the q^6 elements fill 0..q^6-1 and the group is a dense chart.  Among
+    pattern rows this is the order of the packed 10-slot code: its five
+    most significant slots (b2, c2, e, f, a2) hold b, c, e, f, a, the next
+    one holds ab-c, which those fix, then comes d, and the three lowest
+    slots repeat b, c, a.  So the element indices are those of the packed
+    code.
     """
 
     def __init__(self, ops: FieldOps):
         super().__init__(ops, 5)
+
+    def encode(self, rows):
+        q = self.ops.q
+        codes = np.zeros(len(rows), dtype=np.int64)
+        for name in reversed(H_CHART):
+            codes *= q
+            codes += rows[:, H_SLOTS[name]]
+        return codes
 
     def check_rows(self, rows):
         ops = self.ops
@@ -149,19 +177,19 @@ class QuintupleBackend(Backend):
 
     def mul_rows(self, g, h):
         ops = self.ops
-        a, b, c, d, e = (g[:, t] for t in range(5))
-        x, y, z, u, v = (h[:, t] for t in range(5))
-        out = np.empty_like(g)
-        out[:, 0] = ops.add(a, x)
-        out[:, 1] = ops.add(b, y)
-        out[:, 2] = ops.add(ops.add(c, z), ops.mul(b, x))
+        a, b, c, d, e = _columns(g)
+        x, y, z, u, v = _columns(h)
+        out = np.empty((5, len(a)), dtype=g.dtype)
+        out[0] = ops.add(a, x)
+        out[1] = ops.add(b, y)
+        out[2] = ops.add(ops.add(c, z), ops.mul(b, x))
         abc = ops.sub(ops.mul(a, b), c)
-        out[:, 3] = ops.add(ops.add(d, u), ops.add(ops.mul(a, z), ops.mul(abc, x)))
-        out[:, 4] = ops.add(
+        out[3] = ops.add(ops.add(d, u), ops.add(ops.mul(a, z), ops.mul(abc, x)))
+        out[4] = ops.add(
             ops.add(e, v),
             ops.add(ops.mul(c, y), ops.mul(b, ops.sub(ops.mul(x, y), z))),
         )
-        return out
+        return out.T
 
     def inv_rows(self, g):
         ops = self.ops
@@ -229,19 +257,6 @@ class ProductBackend(Backend):
         out[:, 0] = self.inner.inv_many(a[:, 0])
         out[:, 1:] = (-a[:, 1:]) % self.p
         return out
-
-    def mul_index(self, group_rows, i, j):
-        # the universe is the full meshgrid in code order, so the product
-        # index is its mixed-radix code
-        if len(group_rows) != self.inner.order * self.p**self.k:
-            return None
-        idx = self.inner.mul_many(group_rows[i, 0], group_rows[j, 0])
-        digits = (group_rows[i, 1:] + group_rows[j, 1:]) % self.p
-        weight = self.inner.order
-        for t in range(self.k):
-            idx = idx + digits[:, t] * weight
-            weight *= self.p
-        return idx
 
     def describe_row(self, row):
         digits = ",".join(str(int(v)) for v in row[1:])

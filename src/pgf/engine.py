@@ -1,12 +1,20 @@
 """Index-based finite group engine.
 
 A FiniteGroup stores its element universe as a numpy coordinate matrix, one
-row per element, sorted by an integer row code (mixed-radix over the
-columns).  The element index is the row position, so indexing is canonical
-and deterministic for a given construction.  All group arithmetic funnels
-through a Backend, which knows how to multiply and invert coordinate rows
-in bulk; hot loops (closure, conjugacy, centralizers, series) are expressed
-as vectorized index operations on top of it.
+row per element, sorted by an integer row code (the backend's encode,
+mixed-radix over the columns by default).  The element index is the row
+position, so indexing is canonical and deterministic for a given
+construction.  All group arithmetic funnels through a Backend, which knows
+how to multiply and invert coordinate rows in bulk; hot loops (closure,
+conjugacy, centralizers, series) are expressed as vectorized index
+operations on top of it.
+
+When the sorted codes are exactly 0..n-1 the universe is a dense
+coordinate chart: an element's code is its index, so index_of_rows
+computes the index (encode, a range check and an exact row comparison)
+instead of looking it up.  Full coordinate universes (quint, u3, hmat,
+xab, cyclic) are dense; quotients, whose rows hold sparse coset leaders,
+look codes up with a binary search.
 
 Products are memoized in a flat n x n table once the order is at most
 TABLE_CAP; larger groups multiply on demand from the coordinate rows.
@@ -194,9 +202,11 @@ class FiniteGroup:
         backend.check_rows(rows)
         self.name = name
         self.backend = backend
-        self.rows = rows
+        # column-major: each column, and a gather of one, is contiguous
+        self.rows = np.asfortranarray(rows)
         self.codes = codes
         self.order = len(rows)
+        self._dense = _is_dense(codes)
         self.field = field
         self.kind = kind
         self.identity = int(self.index_of_rows(backend.identity_row()[None, :])[0])
@@ -208,7 +218,6 @@ class FiniteGroup:
         self._center = None
         self._classes = None
         self._lcs = None
-        self._caches: dict = {}
         if generators is None:
             generators = self._greedy_generators()
             assume_generates = True
@@ -280,18 +289,36 @@ class FiniteGroup:
     # -- primitive operations ---------------------------------------------
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        codes = self.backend.encode(np.asarray(rows))
-        pos = np.searchsorted(self.codes, codes)
-        pos = np.minimum(pos, self.order - 1)
-        if not bool(np.all(self.codes[pos] == codes)):
-            raise GroupError("product left the element universe (closure violation)")
-        return pos
+        """Element indices of coordinate rows; GroupError for a row outside
+        the universe.
+
+        On a dense chart the code is the index: it must lie in 0..n-1 and
+        the stored row at that index must equal the given row exactly, which
+        also rejects rows that encode to a valid code without being an
+        element (say, an hmat row whose tied entries disagree).  Otherwise
+        the code is looked up in the sorted codes by binary search.
+        """
+        rows = np.asarray(rows)
+        codes = self.backend.encode(rows)
+        if self._dense:
+            inside = not len(codes) or (codes.min() >= 0 and codes.max() < self.order)
+            if inside and np.array_equal(self.rows.T.take(codes, axis=1), rows.T):
+                return codes
+        else:
+            pos = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
+            if bool(np.all(self.codes[pos] == codes)):
+                return pos
+        raise GroupError("product left the element universe (closure violation)")
 
     def _mul_index_raw(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         direct = self.backend.mul_index(self.rows, i, j)
         if direct is not None:
             return direct
-        return self.index_of_rows(self.backend.mul_rows(self.rows[i], self.rows[j]))
+        # operands are gathered column by column, so a backend that works
+        # per column reads contiguous columns of these row matrices
+        cols = self.rows.T
+        return self.index_of_rows(
+            self.backend.mul_rows(cols.take(i, axis=1).T, cols.take(j, axis=1).T))
 
     def mul_many(self, i, j) -> np.ndarray:
         i = _as_index_array(i)
@@ -817,6 +844,11 @@ class FiniteGroup:
                 raise GroupError("associativity fails on a sampled triple")
 
 
+def _is_dense(codes: np.ndarray) -> bool:
+    """Whether sorted codes are exactly 0..n-1, so a code is its index."""
+    return np.array_equal(codes, np.arange(len(codes)))
+
+
 def _init_wide(g: FiniteGroup, name, backend, rows, generators, field, kind):
     """Initialize a FiniteGroup whose rows hold parent indices (int64)."""
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -828,9 +860,10 @@ def _init_wide(g: FiniteGroup, name, backend, rows, generators, field, kind):
         raise GroupError("duplicate elements in universe")
     g.name = name
     g.backend = backend
-    g.rows = rows
+    g.rows = np.asfortranarray(rows)
     g.codes = codes
     g.order = len(rows)
+    g._dense = _is_dense(codes)
     g.field = field
     g.kind = kind
     g.identity = int(np.searchsorted(codes, backend.encode(backend.identity_row()[None, :])[0]))
@@ -843,7 +876,6 @@ def _init_wide(g: FiniteGroup, name, backend, rows, generators, field, kind):
     g._center = None
     g._classes = None
     g._lcs = None
-    g._caches = {}
     g.generators = [int(x) for x in generators]
 
 

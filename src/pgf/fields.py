@@ -273,50 +273,55 @@ def structure_constants(spec: FieldSpec) -> KappaTensor:
 class FieldOps:
     """Vectorized field arithmetic on integer element codes.
 
-    For m == 1 the code of an element is the element itself and the ops are
-    plain modular arithmetic; for m > 1 they are table lookups built from the
-    scalar reference arithmetic above.  q is small (desk scale), so the q x q
-    tables are negligible.
+    Every field, prime or not, takes the same exact path: the binary ops
+    read flat q*q tables (add, sub, mul) with `take` at a*q + b, and neg
+    reads a length-q table.  The flat index is computed in int16 up to
+    q = 181 and in intp beyond (wider inputs keep their own dtype), so it
+    never wraps.  The tables are built once, vectorized in int64 over the
+    coordinate vectors: a*b is the sum of b_k * (a * alpha^k), and the
+    a * alpha^k come from shifting a by alpha and reducing by the modulus.
+    Codes are int16, so q must stay below 2**15.
     """
 
     def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.q = spec.q
         p, m = spec.p, spec.m
-        self.prime = m == 1
-        if self.prime:
-            self.p = p
-        else:
-            q = self.q
-            elems = [spec.from_int(c) for c in range(q)]
-            add = np.empty((q, q), dtype=np.int16)
-            mul = np.empty((q, q), dtype=np.int16)
-            for i, a in enumerate(elems):
-                for j, b in enumerate(elems):
-                    add[i, j] = spec.to_int(ff_add(a, b, spec))
-                    mul[i, j] = spec.to_int(ff_mul(a, b, spec))
-            self._add = add
-            self._mul = mul
-            self._neg = np.array([spec.to_int(ff_neg(a, spec)) for a in elems], dtype=np.int16)
+        q = self.q = spec.q
+        if q > np.iinfo(np.int16).max:
+            raise FieldError(f"GF({q}) element codes do not fit int16 coordinates")
+        # a numpy scalar q makes a*q + b compute in a dtype at least as wide
+        # as its own, which holds q*q - 1
+        self._q = (np.int16 if q * q - 1 <= np.iinfo(np.int16).max else np.intp)(q)
+        weight = p ** np.arange(m, dtype=np.int64)
+        coords = np.arange(q, dtype=np.int64)[:, None] // weight % p
+        # shifted[a, k] are the coordinates of a * alpha^k, k < m
+        shifted = [coords]
+        for _ in range(1, m):
+            prev = shifted[-1]
+            nxt = np.zeros_like(prev)
+            nxt[:, 1:] = prev[:, :-1]
+            nxt -= prev[:, -1:] * np.asarray(spec.modulus[:m], dtype=np.int64)
+            shifted.append(nxt % p)
+        prod = np.einsum("bk,akj->abj", coords, np.stack(shifted, axis=1)) % p
+
+        def flat(table):
+            return (table @ weight).astype(np.int16).ravel()
+
+        self._add = flat((coords[:, None, :] + coords[None, :, :]) % p)
+        self._sub = flat((coords[:, None, :] - coords[None, :, :]) % p)
+        self._mul = flat(prod)
+        self._neg = flat(-coords % p)
         # codes of alpha^0 .. alpha^(2m): enough for every seed and kappa use
         self.alpha_pow = [spec.to_int(ff_pow(spec.alpha, k, spec)) for k in range(2 * m + 1)]
 
     def add(self, a, b):
-        if self.prime:
-            return (a + b) % self.p
-        return self._add[a, b]
+        return self._add.take(a * self._q + b)
 
     def sub(self, a, b):
-        if self.prime:
-            return (a - b) % self.p
-        return self._add[a, self._neg[b]]
+        return self._sub.take(a * self._q + b)
 
     def mul(self, a, b):
-        if self.prime:
-            return (a * b) % self.p
-        return self._mul[a, b]
+        return self._mul.take(a * self._q + b)
 
     def neg(self, a):
-        if self.prime:
-            return (-a) % self.p
-        return self._neg[a]
+        return self._neg.take(a)

@@ -140,6 +140,18 @@ def test_isoclinic_self_gives_identity_witness(capsys):
     assert phi == list(range(27))
 
 
+@pytest.mark.parametrize("flag", [["--cache-dir", "somewhere"], ["--seed", "5"]],
+                         ids=["cache-dir", "seed"])
+def test_isoclinic_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
+    # a decision is neither cached nor sampled, so these flags would do nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["isoclinic", "u3:p=3,m=1", "xab:u3:p=3,m=1,k=1", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- kappa -------------------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ the five-coordinate product against a scalar transcription of its defining
 polynomial, both written here rather than shared with the implementation.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,56 @@ def test_hmod_structure():
     assert g.center().order == 9
     assert g.derived_subgroup().order == 27
     assert not g.camina_check()
+
+
+# -- dense charts ------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def hmod_and_hmat(field):
+    g = build_h_mod_center(field)
+    return g, g.backend.parent
+
+
+@pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
+def test_hmat_index_is_the_chart_code(field):
+    _, hm = hmod_and_hmat(field)
+    q = field.q
+    a, b, c, d, e, f = np.indices((q,) * 6).reshape(6, -1)
+    rows = patterned_row(hm.backend.ops, a, b, c, d, e, f)
+    want = d + a * q + f * q**2 + e * q**3 + c * q**4 + b * q**5
+    assert np.array_equal(hm.index_of_rows(rows), want)
+    # the same element order as the packed 10-slot code
+    packed = hm.rows.astype(np.int64) @ (q ** np.arange(10, dtype=np.int64))
+    assert bool(np.all(np.diff(packed) > 0))
+
+
+@pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
+def test_hmod_coset_id_is_the_chart_code(field):
+    g, _ = hmod_and_hmat(field)
+    q = field.q
+    a, b, c, d, e = np.indices((q,) * 5).reshape(5, -1)
+    ids = d + a * q + e * q**2 + c * q**3 + b * q**4
+    assert np.array_equal(quintuple_coords(g, ids), np.stack([a, b, c, d, e], axis=1))
+
+
+@pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
+def test_hmat_lookup_rejects_rows_off_the_chart(field):
+    _, hm = hmod_and_hmat(field)
+    ops = hm.backend.ops
+    q = field.q
+    untied = patterned_row(ops, 1, 1, 0, 0, 0, 0).copy()
+    untied[H_SLOTS["a2"]] = 2
+    past = patterned_row(ops, 0, 0, 0, 0, 0, 0).copy()
+    past[H_SLOTS["b"]] = past[H_SLOTS["b2"]] = q
+    below = patterned_row(ops, 0, 0, 0, 0, 0, 0).copy()
+    below[H_SLOTS["d"]] = -1
+    codes = hm.backend.encode(np.stack([untied, past, below]))
+    # the untied row has a valid chart code; the others leave 0..n-1
+    assert 0 <= codes[0] < hm.order and codes[1] == hm.order and codes[2] == -1
+    for row in (untied, past, below):
+        with pytest.raises(GroupError, match="universe"):
+            hm.index_of_rows(row[None, :])
 
 
 def test_hmod_coordinate_roundtrip():

@@ -329,3 +329,37 @@ def test_property_inverse(data):
     assert ff_mul(a, ff_inv(a, spec), spec) == spec.one
     # Fermat style order bound: a^(q-1) = 1
     assert ff_pow(a, spec.q - 1, spec) == spec.one
+
+
+def test_fieldops_large_prime_product_does_not_wrap():
+    # 190 * 190 = 36100 overflows int16; the product is 1 in GF(191)
+    ops = FieldOps(find_irreducible(191, 1))
+    a = np.array([190], dtype=np.int16)
+    assert ops.mul(a, a).tolist() == [1]
+
+
+def test_fieldops_rejects_codes_beyond_int16():
+    with pytest.raises(FieldError, match="int16"):
+        FieldOps(find_irreducible(32771, 1))
+
+
+# the prime fields past the int16 product range, and the spec matrix
+OPS_SPECS = [find_irreducible(191, 1), find_irreducible(193, 1), F31, F51, F71, F32,
+             FieldSpec(3, 2, (2, 1, 1))]
+OPS = {spec: FieldOps(spec) for spec in OPS_SPECS}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_fieldops_match_scalar_ops(data):
+    spec = data.draw(st.sampled_from(OPS_SPECS))
+    ops = OPS[spec]
+    # the top codes are where an int16 product would wrap
+    code = st.integers(0, spec.q - 1) | st.integers(max(0, spec.q - 16), spec.q - 1)
+    codes = data.draw(st.lists(st.tuples(code, code), min_size=1, max_size=8))
+    a, b = np.array(codes, dtype=np.int16).T
+    pairs = [(spec.from_int(x), spec.from_int(y)) for x, y in codes]
+    assert ops.add(a, b).tolist() == [spec.to_int(ff_add(x, y, spec)) for x, y in pairs]
+    assert ops.sub(a, b).tolist() == [spec.to_int(ff_sub(x, y, spec)) for x, y in pairs]
+    assert ops.mul(a, b).tolist() == [spec.to_int(ff_mul(x, y, spec)) for x, y in pairs]
+    assert ops.neg(a).tolist() == [spec.to_int(ff_neg(x, spec)) for x, _ in pairs]
