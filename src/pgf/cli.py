@@ -31,8 +31,7 @@ EXIT_INCONCLUSIVE = 4
 SUITES = ("a2", "structural", "presentation")
 
 
-def _add_output(sp: argparse.ArgumentParser, force_help: str):
-    sp.add_argument("--force", action="store_true", help=force_help)
+def _add_pretty(sp: argparse.ArgumentParser):
     sp.add_argument("--pretty", action="store_true",
                     help="render the report as a table instead of raw JSON")
 
@@ -40,7 +39,8 @@ def _add_output(sp: argparse.ArgumentParser, force_help: str):
 def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--cache-dir", default=None,
                     help="directory for cached results (default: $PGF_CACHE_DIR, else no cache)")
-    _add_output(sp, "recompute cached results")
+    sp.add_argument("--force", action="store_true", help="recompute cached results")
+    _add_pretty(sp)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for sampled checks; exhaustive checks ignore it")
 
@@ -64,14 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isoclinic", help="decide isoclinism of two groups")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
-    _add_output(p, "lift the isoclinism search cap")
+    p.add_argument("--force", action="store_true", help="lift the isoclinism search cap")
+    _add_pretty(p)
 
+    # structure constants are computed, never cached or sampled, so kappa
+    # takes none of --cache-dir, --seed and --force
     p = sub.add_parser("kappa", help="field structure constants as JSON")
     p.add_argument("p", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--modulus", default=None,
                    help="comma separated modulus coefficients, lowest degree first")
-    _add_common(p)
+    _add_pretty(p)
     return parser
 
 

@@ -16,8 +16,9 @@ instead of looking it up.  Full coordinate universes (quint, u3, hmat,
 xab, cyclic) are dense; quotients, whose rows hold sparse coset leaders,
 look codes up with a binary search.
 
-Products are memoized in a flat n x n table once the order is at most
-TABLE_CAP; larger groups multiply on demand from the coordinate rows.
+Products are memoized in a 2-D n x n int32 array, read as table[i, j],
+when the order is at most TABLE_CAP; larger groups multiply on demand
+from the coordinate rows.
 Element enumeration is refused beyond a hard cap (default 10**6).
 """
 
@@ -710,13 +711,25 @@ class FiniteGroup:
 
     def check_class3_identities(self, samples: int = 10**4, seed: int = 0,
                                 exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT,
-                                chunk: int = 2 * 10**6) -> dict:
+                                chunk: int = 2**17) -> dict:
         """Commutator identities valid in nilpotency class <= 3 (odd p).
 
-        Exhaustive over all element tuples when the order is at most
-        exhaustive_limit, otherwise over seeded random tuples.  Triple space
-        is walked in flat chunks so memory stays bounded.  Returns a report
-        dict per identity: {passed, checked, counterexample}.
+        Exhaustive over all element tuples when the order n is at most
+        exhaustive_limit, otherwise over seeded random tuples.  Returns a
+        report dict per identity: {passed, checked, counterexample}.
+
+        The exhaustive path first tabulates the product x*y and the
+        commutator [x, y] of all n**2 pairs, through mul_many and
+        commutator_many, so every product is computed (and its row checked
+        against the universe) once.  Each product or commutator of a tuple
+        is then a read of the flat table at x*n + y.  The sampled path
+        calls mul_many and commutator_many on the tuples themselves.
+
+        The n**3 triples and n**2 pairs are walked in flat order, chunk
+        tuples at a time, so memory stays bounded.  The report does not
+        depend on chunk: the exponents of power_commutator_collapse cycle
+        on the global flat index, and each counterexample is the first
+        failing tuple in flat order.
         """
         if self.nilpotency_class() > 3:
             raise GroupError("identity suite requires nilpotency class <= 3")
@@ -737,6 +750,19 @@ class FiniteGroup:
             "power_commutator_collapse",
         )
         report = {name: {"passed": True, "checked": 0, "counterexample": None} for name in names}
+        exhaustive = n <= exhaustive_limit
+        if exhaustive:
+            x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+            mul_table = self.mul_many(x, y)
+            comm_table = self.commutator_many(x, y)
+
+            def mul(a, b):
+                return mul_table.take(a * n + b)
+
+            def comm(a, b):
+                return comm_table.take(a * n + b)
+        else:
+            mul, comm = self.mul_many, self.commutator_many
 
         def record(name, ok_mask, tuples):
             entry = report[name]
@@ -750,51 +776,49 @@ class FiniteGroup:
 
         def run_triples(a, b, c, offset):
             # triple commutator vanishes when both inner commutators are central
-            cac = self.commutator_many(a, c)
-            cbc = self.commutator_many(b, c)
-            cab = self.commutator_many(a, b)
+            cac = comm(a, c)
+            cbc = comm(b, c)
+            cab = comm(a, b)
             cond = zmask[cac] & zmask[cbc]
-            triple = self.commutator_many(cab[cond], c[cond])
+            triple = comm(cab[cond], c[cond])
             record(names[0], triple == e, (a[cond], b[cond], c[cond]))
 
             # central [a,b] makes [[a,t],b] and [[b,t],a] agree
             cond = zmask[cab]
             aa, bb, tt = a[cond], b[cond], c[cond]
-            lhs = self.commutator_many(self.commutator_many(aa, tt), bb)
-            rhs = self.commutator_many(self.commutator_many(bb, tt), aa)
+            lhs = comm(comm(aa, tt), bb)
+            rhs = comm(comm(bb, tt), aa)
             record(names[1], lhs == rhs, (aa, bb, tt))
 
             # [ab,c] = [a,c][b,c][[a,c],b] and [a,bc] = [a,b][a,c][[a,b],c]
-            lhs = self.commutator_many(self.mul_many(a, b), c)
-            rhs = self.mul_many(self.mul_many(cac, cbc), self.commutator_many(cac, b))
+            lhs = comm(mul(a, b), c)
+            rhs = mul(mul(cac, cbc), comm(cac, b))
             ok = lhs == rhs
-            lhs = self.commutator_many(a, self.mul_many(b, c))
-            rhs = self.mul_many(self.mul_many(cab, cac), self.commutator_many(cab, c))
+            lhs = comm(a, mul(b, c))
+            rhs = mul(mul(cab, cac), comm(cab, c))
             record(names[2], ok & (lhs == rhs), (a, b, c))
 
             # [a^i,b^j,c^k] = [[a,b],c]^(ijk), exponents cycling through GF(p)^3
             t = (offset + np.arange(len(a), dtype=np.int64)) % len(combos)
             iexp, jexp, kexp = combos[t, 0], combos[t, 1], combos[t, 2]
-            lhs = self.commutator_many(
-                self.commutator_many(pow_t[iexp, a], pow_t[jexp, b]), pow_t[kexp, c]
-            )
-            base = self.commutator_many(cab, c)
+            lhs = comm(comm(pow_t[iexp, a], pow_t[jexp, b]), pow_t[kexp, c])
+            base = comm(cab, c)
             rhs = pow_t[(iexp * jexp * kexp) % p, base]
             record(names[4], lhs == rhs, (a, b, c))
 
         def run_pairs(a, b):
             # [a^s,b] = [a,b]^s [[a,b],a]^(s(s-1)/2), and dually in the second slot
             ok = np.ones(len(a), dtype=bool)
-            cab = self.commutator_many(a, b)
+            cab = comm(a, b)
             for s in range(p):
                 binom = (s * (s - 1) // 2) % p
-                corr = pow_t[binom, self.commutator_many(cab, a)]
-                ok &= self.commutator_many(pow_t[s, a], b) == self.mul_many(pow_t[s, cab], corr)
-                corr = pow_t[binom, self.commutator_many(cab, b)]
-                ok &= self.commutator_many(a, pow_t[s, b]) == self.mul_many(pow_t[s, cab], corr)
+                corr = pow_t[binom, comm(cab, a)]
+                ok &= comm(pow_t[s, a], b) == mul(pow_t[s, cab], corr)
+                corr = pow_t[binom, comm(cab, b)]
+                ok &= comm(a, pow_t[s, b]) == mul(pow_t[s, cab], corr)
             record(names[3], ok, (a, b))
 
-        if n <= exhaustive_limit:
+        if exhaustive:
             total = n * n * n
             for start in range(0, total, chunk):
                 flat = np.arange(start, min(start + chunk, total), dtype=np.int64)

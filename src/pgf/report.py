@@ -8,6 +8,7 @@ dict, never a second data path.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -82,10 +83,6 @@ def all_checks_pass(report: dict) -> bool:
     return all(entry["passed"] for entry in report.get("checks", []))
 
 
-def strip_timings(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timings"}
-
-
 def render_pretty(d: dict) -> str:
     """Text table over the report dict; consumes only what to_json would."""
     d = jsonable(d)
@@ -136,19 +133,32 @@ def params_file_path(spec: str, out_dir=".") -> Path:
     return Path(out_dir) / f"params-{spec_slug(spec)}.json"
 
 
+@functools.cache
+def source_digest() -> str:
+    """sha256 over the package's .py sources, by relative path and content."""
+    package = Path(__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        h.update(path.relative_to(package).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 class ReportCache:
     """One file per (spec, check), keyed by a content hash.
 
-    The key folds in the resolved field modulus and the tool version, so a
-    version bump or a different modulus never reuses a stale entry.  Writes
-    go through a temp file and an atomic rename.
+    The key folds in the resolved field modulus, the tool version and a
+    digest of the package sources, so a version bump, a code change or a
+    different modulus never reuses a stale entry.  The sources are read once
+    per process, and only by a cache with a root.  Writes go through a temp
+    file and an atomic rename.
     """
 
     def __init__(self, root=None):
         self.root = Path(root) if root else None
 
     def _path(self, spec: str, modulus, check: str) -> Path:
-        text = f"{spec}|{list(modulus)}|{__version__}|{check}"
+        text = f"{spec}|{list(modulus)}|{__version__}|{source_digest()}|{check}"
         digest = hashlib.sha256(text.encode()).hexdigest()[:32]
         return self.root / f"{digest}.json"
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pgf import report as rp
 from pgf.cli import main
 
 
@@ -175,6 +176,24 @@ def test_kappa_explicit_modulus(capsys):
     assert d["kappa"][0][0] == [1, 0]
 
 
+@pytest.mark.parametrize("flag", [["--cache-dir", "somewhere"], ["--seed", "5"], ["--force"]],
+                         ids=["cache-dir", "seed", "force"])
+def test_kappa_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
+    # structure constants are neither cached nor sampled
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["kappa", "3", "2", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kappa_pretty(capsys):
+    code, out, _ = run(capsys, ["kappa", "3", "2", "--modulus", "2,1,1", "--pretty"])
+    assert code == 0
+    assert "modulus: [2, 1, 1]" in out
+
+
 def test_kappa_composite_rejected(capsys):
     code, _, err = run(capsys, ["kappa", "4", "1"])
     assert code == 2
@@ -210,6 +229,29 @@ def test_cache_key_separates_moduli(capsys, tmp_path):
     run_json(capsys, ["invariants", "u3:p=3,m=2"] + base)
     run_json(capsys, ["invariants", "u3:p=3,m=2,modulus=[2,1,1]"] + base)
     assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_cache_key_folds_in_the_source_digest(capsys, tmp_path, monkeypatch):
+    argv = ["invariants", "u3:p=3,m=1", "--cache-dir", str(tmp_path)]
+    run_json(capsys, argv)
+    _, d, _ = run_json(capsys, argv)
+    assert d["timings"] == {}
+    # a code change without a version bump must not be served the old entry
+    monkeypatch.setattr(rp, "source_digest", lambda: "0" * 64)
+    _, d, _ = run_json(capsys, argv)
+    assert d["timings"]
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
+def test_sources_are_not_read_without_a_cache(capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("source digest computed without a cache root")
+
+    monkeypatch.delenv("PGF_CACHE_DIR", raising=False)
+    monkeypatch.setattr(rp, "source_digest", refuse)
+    code, d, _ = run_json(capsys, ["invariants", "u3:p=3,m=1"])
+    assert code == 0
+    assert d["timings"]
 
 
 def test_reports_byte_identical_without_timings(capsys):

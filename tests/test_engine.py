@@ -435,7 +435,8 @@ def test_relabel_rejects_non_permutation():
 
 
 def test_class3_identities_exhaustive_on_heisenberg():
-    rep = heis(3).check_class3_identities()
+    g = heis(3)
+    rep = g.check_class3_identities()
     for name, entry in rep.items():
         assert entry["passed"], name
         assert entry["counterexample"] is None
@@ -447,6 +448,45 @@ def test_class3_identities_exhaustive_on_heisenberg():
         "power_expansion",
         "power_commutator_collapse",
     }
+    assert rep["product_expansion"]["checked"] == 27 ** 3
+    assert rep["power_expansion"]["checked"] == 27 ** 2
+    for chunk in (7, 1000, 27 ** 3):
+        assert g.check_class3_identities(chunk=chunk) == rep
+
+
+class SkewedCommutatorGroup(FiniteGroup):
+    """A group whose commutator_many reports [u, v] = w once skew = (u, v, w)."""
+
+    skew = None
+
+    def commutator_many(self, a, b):
+        out = super().commutator_many(a, b)
+        if self.skew is not None:
+            u, v, w = self.skew
+            a, b = np.broadcast_arrays(a, b)
+            out[(a == u) & (b == v)] = w
+        return out
+
+
+def test_class3_identities_first_counterexample_ignores_chunk():
+    gens = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int16)
+    g = SkewedCommutatorGroup.from_closure("H3", Heis3Backend(3), gens)
+    # the series and the center are computed from the true commutators
+    assert g.nilpotency_class() == 2
+    assert g.center().order == 3
+
+    def idx(row):
+        return int(g.index_of_rows(np.array([row], dtype=np.int16))[0])
+
+    # z^2 is central, so [z^2, (1,2,2)] is the identity; report z^2 instead
+    g.skew = (idx([0, 0, 2]), idx([1, 2, 2]), idx([0, 0, 2]))
+    rep = g.check_class3_identities()
+    assert not any(entry["passed"] for entry in rep.values())
+    # the first failing triple in flat order, whose exponents (i, j, k)
+    # come from its flat index
+    assert rep["power_commutator_collapse"]["counterexample"] == ("(0,0,1)", "(2,1,0)", "(1,2,2)")
+    for chunk in (7, 1000, 27 ** 3):
+        assert g.check_class3_identities(chunk=chunk) == rep
 
 
 def test_class3_identities_sampled_path():
