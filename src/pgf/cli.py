@@ -212,10 +212,11 @@ def cmd_verify(args) -> int:
             timings["presentation_ms"] = 1000 * (time.perf_counter() - t0)
         payload = {"summary": rp.group_summary(g), "checks": checks, "params": params}
         cache.store(canonical, modulus, cache_key, payload)
-    if payload.get("params") is not None:
-        rp.write_json_atomic(rp.params_file_path(canonical),
-                             {"schema": rp.SCHEMA, "spec": canonical,
-                              "params": payload["params"]})
+        # the parameter file is written by the run that extracts the
+        # parameters; a cache hit writes nothing
+        if params is not None:
+            rp.write_json_atomic(rp.params_file_path(canonical),
+                                 {"schema": rp.SCHEMA, "spec": canonical, "params": params})
     report = rp.assemble_report(canonical, payload["summary"], payload["checks"], timings)
     _emit(args, report)
     return EXIT_OK if rp.all_checks_pass(report) else EXIT_FAIL

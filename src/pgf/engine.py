@@ -16,6 +16,12 @@ instead of looking it up.  Full coordinate universes (quint, u3, hmat,
 xab, cyclic) are dense; quotients, whose rows hold sparse coset leaders,
 look codes up with a binary search.
 
+A quotient G/N takes the least member of each coset as its leader.  The
+leaders come from flooding labels to their minimum along right
+multiplication by a generating set of N, so building G/N costs n * rank(N)
+products (plus the normality check), not the n * |N| of multiplying the
+group by every member of N.
+
 Products are memoized in a 2-D n x n int32 array, read as table[i, j],
 when the order is at most TABLE_CAP; larger groups multiply on demand
 from the coordinate rows.
@@ -183,7 +189,6 @@ class FiniteGroup:
         backend: Backend,
         rows: np.ndarray,
         generators=None,
-        sort: bool = True,
         cap: int = DEFAULT_CAP,
         table_cap: int = TABLE_CAP,
         field=None,
@@ -194,10 +199,9 @@ class FiniteGroup:
         if len(rows) > cap:
             raise CapExceeded(f"group order {len(rows)} exceeds cap {cap}")
         codes = backend.encode(rows)
-        if sort:
-            order = np.argsort(codes, kind="stable")
-            rows = np.ascontiguousarray(rows[order])
-            codes = codes[order]
+        order = np.argsort(codes, kind="stable")
+        rows = np.ascontiguousarray(rows[order])
+        codes = codes[order]
         if len(codes) > 1 and bool(np.any(codes[1:] == codes[:-1])):
             raise GroupError("duplicate elements in universe")
         backend.check_rows(rows)
@@ -242,49 +246,57 @@ class FiniteGroup:
         cap: int = DEFAULT_CAP,
         **kw,
     ) -> "FiniteGroup":
-        """Breadth-first closure of generator rows under multiplication."""
+        """Breadth-first closure of generator rows under multiplication.
+
+        Each wave multiplies the frontier by every generator.  Every
+        product passes check_rows, so a closure that completes proves the
+        backend's row invariant closed under multiplication; a generator's
+        products whose codes are already known are then dropped before the
+        survivors of all generators are merged, so a wave holds its new
+        elements rather than all its products.  The rows are sorted by
+        code once, when the group is built.
+        """
         gen_rows = np.ascontiguousarray(generator_rows, dtype=np.int16)
         backend.check_rows(gen_rows)
         rows = np.vstack([backend.identity_row()[None, :], gen_rows])
-        codes = backend.encode(rows)
-        codes, first = np.unique(codes, return_index=True)
-        rows = rows[first]
-        frontier = rows
+        codes, first = np.unique(backend.encode(rows), return_index=True)
+        frontier = rows[first]
+        blocks = [frontier]
         while len(frontier):
-            batches = []
+            fresh_rows, fresh_codes = [], []
             for g in gen_rows:
                 prod = backend.mul_rows(frontier, np.broadcast_to(g, frontier.shape))
-                batches.append(prod)
-            cand = np.vstack(batches)
-            backend.check_rows(cand)
-            ccodes = backend.encode(cand)
-            ccodes, cfirst = np.unique(ccodes, return_index=True)
-            cand = cand[cfirst]
-            pos = np.searchsorted(codes, ccodes)
-            pos = np.minimum(pos, len(codes) - 1)
-            fresh = codes[pos] != ccodes
-            if not fresh.any():
+                backend.check_rows(prod)
+                pcodes = backend.encode(prod)
+                pos = np.minimum(np.searchsorted(codes, pcodes), len(codes) - 1)
+                new = codes[pos] != pcodes
+                fresh_rows.append(prod[new])
+                fresh_codes.append(pcodes[new])
+            fcodes, ffirst = np.unique(np.concatenate(fresh_codes), return_index=True)
+            if not len(fcodes):
                 break
-            frontier = cand[fresh]
-            codes = np.concatenate([codes, ccodes[fresh]])
-            rows = np.vstack([rows, frontier])
-            order = np.argsort(codes, kind="stable")
-            codes = codes[order]
-            rows = rows[order]
-            if len(rows) > cap:
+            frontier = np.vstack(fresh_rows)[ffirst]
+            blocks.append(frontier)
+            codes = np.insert(codes, np.searchsorted(codes, fcodes), fcodes)
+            if len(codes) > cap:
                 raise CapExceeded(f"closure exceeded cap {cap}")
         gen_idx = np.searchsorted(codes, backend.encode(gen_rows))
-        return cls(name, backend, rows, generators=gen_idx.tolist(), sort=False, cap=cap,
+        return cls(name, backend, np.vstack(blocks), generators=gen_idx.tolist(), cap=cap,
                    assume_generates=True, **kw)
 
-    def _greedy_generators(self) -> list[int]:
+    def _greedy_generators(self, members=None) -> list[int]:
+        """Generators of the subgroup on the sorted members (default: the
+        whole group), picked greedily: the least member outside the span so
+        far joins."""
+        members = np.arange(self.order) if members is None else _as_index_array(members)
         gens: list[int] = []
         known = np.zeros(self.order, dtype=bool)
         known[self.identity] = True
-        while not known.all():
-            nxt = int(np.argmin(known))
-            gens.append(nxt)
+        outside = members[~known[members]]
+        while len(outside):
+            gens.append(int(outside[0]))
             known[self.closure_members(gens)] = True
+            outside = outside[~known[outside]]
         return gens
 
     # -- primitive operations ---------------------------------------------
@@ -621,17 +633,36 @@ class FiniteGroup:
         return g
 
     def quotient(self, n_sub: Subgroup, name: str | None = None) -> "FiniteGroup":
+        """G/N for a normal subgroup N, its elements the cosets xN.
+
+        Each coset is represented by its least member, min(xN), and coset
+        ids are ordered by those leaders.  The leaders come from min-label
+        flooding: right multiplication by each member k of a generating
+        set of N is a permutation of the index set (x -> x*k), the orbits
+        of the group those permutations generate are exactly the cosets
+        xN, and flooding every label to its minimum along them (with path
+        compression, as in conjugacy_classes) leaves min(xN) on every x.
+        That costs n * rank(N) products, rank(N) being the size of the
+        greedy generating set, instead of the n * |N| of multiplying the
+        group by every member of N; the normality check adds 2 * |N|
+        products per generator of G.
+        """
         if n_sub.parent is not self:
             raise GroupError("subgroup belongs to a different group")
         mem = n_sub.members
         for g in self.generators:
             if not bool(np.all(n_sub.contains_many(self.conjugate_many(mem, g)))):
                 raise GroupError("quotient by a non-normal subgroup")
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
-        rep = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        for k in mem:
-            np.minimum(rep, self.mul_many(idx, int(k)), out=rep)
+        idx = np.arange(self.order, dtype=np.int64)
+        moves = [self.mul_many(idx, k) for k in self._greedy_generators(mem)]
+        rep = idx
+        while True:
+            before = rep
+            for img in moves:
+                rep = np.minimum(rep, rep[img])
+            rep = rep[rep]  # path compression
+            if np.array_equal(rep, before):
+                break
         leaders = np.unique(rep)
         coset_of = np.searchsorted(leaders, rep)
         backend = QuotientBackend(self, leaders, coset_of)

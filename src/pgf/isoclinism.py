@@ -42,10 +42,15 @@ class _Budget:
         self.cfg = cfg
         self.nodes = 0
         self.deadline = time.perf_counter() + cfg.time_limit
+        self.fired: str | None = None    # the budget that stopped the search
 
     def tick(self):
         self.nodes += 1
-        if self.nodes > self.cfg.max_nodes or time.perf_counter() > self.deadline:
+        if self.nodes > self.cfg.max_nodes:
+            self.fired = f"node budget of {self.cfg.max_nodes} exhausted"
+        elif time.perf_counter() > self.deadline:
+            self.fired = f"time budget of {self.cfg.time_limit:g} s exhausted"
+        if self.fired:
             raise _BudgetExceeded
 
 
@@ -77,15 +82,21 @@ def commutation_map(g: FiniteGroup, resample: int = 100, seed: int = 0) -> Commu
         raise GroupError("bracket table leaves the derived subgroup")
     if np.any(np.diagonal(table) != g.identity):
         raise GroupError("bracket of a coset with itself must be trivial")
+    # each resample draws coset i, coset j and a central shift for either
+    # side, in that order; the draws come first, then one batched product
+    # per side and one batched commutator check them all
     rng = np.random.default_rng(seed)
     q = len(leaders)
-    for _ in range(resample):
-        i, j = int(rng.integers(q)), int(rng.integers(q))
-        x = g.mul(int(leaders[i]), int(z.members[rng.integers(z.order)]))
-        y = g.mul(int(leaders[j]), int(z.members[rng.integers(z.order)]))
-        if g.commutator(x, y) != table[i, j]:
-            raise GroupError(
-                f"bracket table is not well defined at cosets ({i}, {j})")
+    draws = np.array([[rng.integers(q), rng.integers(q), rng.integers(z.order), rng.integers(z.order)]
+                      for _ in range(resample)], dtype=np.int64).reshape(resample, 4)
+    i, j, zx, zy = draws.T
+    x = g.mul_many(leaders[i], z.members[zx])
+    y = g.mul_many(leaders[j], z.members[zy])
+    bad = np.nonzero(g.commutator_many(x, y) != table[i, j])[0]
+    if len(bad):
+        k = int(bad[0])
+        raise GroupError(
+            f"bracket table is not well defined at cosets ({i[k]}, {j[k]})")
     return CommutationMap(qz, der, table)
 
 
@@ -248,7 +259,7 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup,
     try:
         _search_bijections(a, b, budget, grab)
     except _BudgetExceeded:
-        return IsomorphismResult("inconclusive", reason="search budget exhausted",
+        return IsomorphismResult("inconclusive", reason=budget.fired,
                                  nodes=budget.nodes)
     if found:
         return IsomorphismResult("isomorphic", found[0], nodes=budget.nodes)
@@ -424,7 +435,7 @@ def are_isoclinic(g: FiniteGroup, h: FiniteGroup,
     try:
         _search_bijections(am.quotient, bm.quotient, budget, try_phi)
     except _BudgetExceeded:
-        return IsoclinismResult("inconclusive", reason="search budget exhausted",
+        return IsoclinismResult("inconclusive", reason=budget.fired,
                                 nodes=budget.nodes)
     if box:
         return IsoclinismResult("isoclinic", box[0], nodes=budget.nodes)

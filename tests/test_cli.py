@@ -218,6 +218,22 @@ def test_cache_hit_matches_cold_run(capsys, tmp_path):
     assert d3 == d1
 
 
+def test_cache_hit_writes_no_parameter_file(capsys, tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = ["verify", "hmod:p=3,m=1", "all", "--cache-dir", str(tmp_path / "cache")]
+    code1, d1, _ = run_json(capsys, argv)
+    written = list(work.glob("params-*.json"))
+    assert len(written) == 1
+    written[0].unlink()
+    code2, d2, _ = run_json(capsys, argv)
+    assert (code1, code2) == (0, 0)
+    assert list(work.iterdir()) == []
+    assert d1.pop("timings") and d2.pop("timings") == {}
+    assert d1 == d2
+
+
 def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PGF_CACHE_DIR", str(tmp_path))
     run_json(capsys, ["invariants", "u3:p=3,m=1"])

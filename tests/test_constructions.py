@@ -266,6 +266,25 @@ def test_pattern_backend_rejects_untied_rows():
         back.check_rows(row2[None, :])
 
 
+class UntyingU5Backend(PatternedU5Backend):
+    """Unties a2 on every product that lands on the identity's chart code,
+    a code the closure knows before its first wave."""
+
+    def mul_rows(self, a, b):
+        out = super().mul_rows(a, b)
+        lands = ~out.any(axis=1)
+        out[lands, H_SLOTS["a2"]] = 1
+        return out
+
+
+def test_closure_proof_checks_products_it_already_knows():
+    back = UntyingU5Backend(FieldOps(F31))
+    gens = np.array([patterned_row(back.ops, 1, 0, 0, 0, 0, 0),
+                     patterned_row(back.ops, 0, 1, 0, 0, 0, 0)])
+    with pytest.raises(GroupError, match="tied"):
+        FiniteGroup.from_closure("untied", back, gens)
+
+
 def test_hmat_two_generators_suffice():
     # the a-seed and b-seed alone generate: commutators reach every corner
     g = build_h_matrix(F31)

@@ -5,6 +5,8 @@ group on 3 letters) are independent of the construction module, so the
 engine is exercised by representations it was not written around.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,80 @@ def test_quotient_is_a_homomorphism():
     xs = rng.integers(0, g.order, 400)
     ys = rng.integers(0, g.order, 400)
     assert np.array_equal(q.mul_many(fold[xs], fold[ys]), fold[g.mul_many(xs, ys)])
+
+
+# the quotient oracle also runs on the construction families, whose centers
+# and derived subgroups give normal subgroups of rank above one
+
+
+def brute_force_cosets(g, members):
+    """Leaders min(xN) over all of N, and each element's coset id."""
+    idx = np.arange(g.order, dtype=np.int64)
+    rep = g.mul_many(idx[:, None], np.asarray(members)[None, :]).min(axis=1)
+    leaders = sorted(set(rep.tolist()))
+    pos = {lead: k for k, lead in enumerate(leaders)}
+    return np.array(leaders), np.array([pos[r] for r in rep.tolist()])
+
+
+QUOTIENT_CASES = ("u3:p=3,m=1/Z", "hmat:p=3,m=1/Z", "hmod:p=3,m=1/Z", "quint:p=3,m=1/G'",
+                  "(hmat:p=3,m=1/Z)/Z", "hmod:p=3,m=1/1", "hmod:p=3,m=1/G")
+
+
+@functools.lru_cache(maxsize=None)
+def quotient_cases() -> dict:
+    from pgf.constructions import build_group
+
+    cases = {}
+    for spec in ("u3:p=3,m=1", "hmat:p=3,m=1", "hmod:p=3,m=1"):
+        g = build_group(spec)
+        cases[f"{spec}/Z"] = g, g.center()
+    g = build_group("quint:p=3,m=1")
+    cases["quint:p=3,m=1/G'"] = g, g.derived_subgroup()  # normal, not central
+    q = cases["hmat:p=3,m=1/Z"][0].quotient(cases["hmat:p=3,m=1/Z"][1])
+    cases["(hmat:p=3,m=1/Z)/Z"] = q, q.center()
+    g = cases["hmod:p=3,m=1/Z"][0]
+    cases["hmod:p=3,m=1/1"] = g, g.trivial_subgroup()
+    cases["hmod:p=3,m=1/G"] = g, g.full_subgroup()
+    return cases
+
+
+@pytest.mark.parametrize("label", QUOTIENT_CASES)
+def test_quotient_leaders_match_brute_force(label):
+    g, n_sub = quotient_cases()[label]
+    leaders, coset_of = brute_force_cosets(g, n_sub.members)
+    q = g.quotient(n_sub)
+    assert np.array_equal(q.backend.leaders, leaders)
+    assert np.array_equal(q.backend.coset_of, coset_of)
+    assert q.order * n_sub.order == g.order
+
+
+def test_quotient_oracle_covers_a_noncentral_subgroup_of_rank_above_one():
+    g, der = quotient_cases()["quint:p=3,m=1/G'"]
+    assert not der.same_as(g.center())
+    # no element of G' has order |G'|, so G' is not cyclic
+    assert g.element_orders()[der.members].max() < der.order
+
+
+def test_quotient_cost_is_n_times_rank():
+    from pgf.constructions import build_group
+
+    g = build_group("hmat:p=3,m=1")
+    z = g.center()
+    rows = []
+    plain = g.mul_many
+
+    def counting(i, j):
+        out = plain(i, j)
+        rows.append(np.size(out))
+        return out
+
+    g.mul_many = counting
+    g.quotient(z)
+    n, k, rank = g.order, z.order, 1  # Z(hmat) is cyclic of order p
+    normality = 2 * k * len(g.generators)  # conjugating N by each generator
+    spanning = k * rank * rank  # the closures that pick N's generators
+    assert sum(rows) <= n * rank + normality + spanning
+    assert n * rank + normality + spanning < n * k  # the cost of x*k for every k
 
 
 # -- subgroup validation ---------------------------------------------------

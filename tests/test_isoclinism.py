@@ -82,6 +82,23 @@ def test_commutation_map_stable_under_resampling_seed(u3_31):
     assert np.array_equal(a.table, b.table)
 
 
+def test_commutation_map_resampling_catches_a_noncentral_subgroup():
+    # posing the (normal, not central) derived subgroup as the center makes
+    # the bracket on its cosets ill defined; the first failing resample, in
+    # draw order, is the one named
+    g = build_group("quint:p=3,m=1")
+    g._center = g.derived_subgroup()
+    with pytest.raises(GroupError, match=r"not well defined at cosets \(7, 5\)$"):
+        commutation_map(g)
+    with pytest.raises(GroupError, match=r"not well defined at cosets \(4, 4\)$"):
+        commutation_map(g, seed=1)
+
+
+def test_commutation_map_without_resampling(u3_31):
+    a = commutation_map(u3_31, resample=0)
+    assert np.array_equal(a.table, commutation_map(u3_31).table)
+
+
 # -- isomorphism -------------------------------------------------------------
 
 
@@ -120,6 +137,20 @@ def test_budget_exhaustion_is_inconclusive_not_refuted(hmod31, quint31):
     res = are_isomorphic(hmod31, quint31, SearchConfig(max_nodes=1))
     assert res.outcome == "inconclusive"
     assert "budget" in res.reason
+
+
+def test_exhausted_node_budget_is_named(hmod31, quint31):
+    res = are_isomorphic(hmod31, quint31, SearchConfig(max_nodes=3))
+    assert res.outcome == "inconclusive"
+    assert res.reason == "node budget of 3 exhausted"
+    assert res.nodes == 4
+
+
+def test_exhausted_time_budget_is_named(hmod31, quint31):
+    res = are_isomorphic(hmod31, quint31, SearchConfig(time_limit=1e-9))
+    assert res.outcome == "inconclusive"
+    assert res.reason == "time budget of 1e-09 s exhausted"
+    assert res.nodes == 1
 
 
 def test_search_exhaustion_refutes_without_invariant_pruning(u3_31):
