@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError
+from .engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError, sorted_unique
 from .fields import FieldOps, FieldSpec, find_irreducible
 
 
@@ -520,7 +520,7 @@ def identification_map(hmod: FiniteGroup, quint: FiniteGroup) -> np.ndarray:
         raise GroupError("identification needs matching fields")
     coords = quintuple_coords(hmod, np.arange(hmod.order))
     phi = quint.index_of_rows(coords.astype(np.int16))
-    if len(np.unique(phi)) != hmod.order or hmod.order != quint.order:
+    if len(sorted_unique(phi)) != hmod.order or hmod.order != quint.order:
         raise GroupError("identification map is not a bijection")
     return phi
 

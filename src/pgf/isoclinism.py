@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import CapExceeded, FiniteGroup, GroupError, Subgroup
+from .engine import CapExceeded, FiniteGroup, GroupError, Subgroup, sorted_unique
 
 SEARCH_CAP = 729
 
@@ -68,7 +68,7 @@ class CommutationMap:
     table: np.ndarray
 
     def image_members(self) -> np.ndarray:
-        return np.unique(self.table)
+        return sorted_unique(self.table)
 
 
 def commutation_map(g: FiniteGroup, resample: int = 100, seed: int = 0) -> CommutationMap:
@@ -119,7 +119,7 @@ def _induced_map(a: FiniteGroup, b: FiniteGroup, srcs, imgs):
         amap[s] = i
     srcs_arr = np.asarray(srcs, dtype=np.int64)
     imgs_arr = np.asarray(imgs, dtype=np.int64)
-    frontier = np.unique(np.concatenate([[a.identity], srcs_arr]))
+    frontier = sorted_unique(np.concatenate([[a.identity], srcs_arr]))
     while len(frontier) and len(srcs_arr):
         new_src = a.mul_many(frontier[:, None], srcs_arr[None, :]).ravel()
         new_img = b.mul_many(amap[frontier][:, None], imgs_arr[None, :]).ravel()
@@ -159,7 +159,7 @@ def _search_bijections(a: FiniteGroup, b: FiniteGroup, budget: _Budget, on_found
 
     def injective(amap) -> bool:
         picked = amap[amap != -1]
-        return len(np.unique(picked)) == len(picked)
+        return len(sorted_unique(picked)) == len(picked)
 
     def rec(level, srcs, imgs):
         if level == len(gens):
@@ -273,7 +273,7 @@ def verify_isomorphism(a: FiniteGroup, b: FiniteGroup, mapping: np.ndarray,
     mapping = np.asarray(mapping, dtype=np.int64)
     if mapping.shape != (a.order,) or a.order != b.order:
         return False
-    if len(np.unique(mapping)) != b.order:
+    if np.any((mapping < 0) | (mapping >= b.order)) or len(sorted_unique(mapping)) != b.order:
         return False
     idx = np.arange(a.order, dtype=np.int64)
     for start in range(0, a.order, chunk):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import FiniteGroup, GroupError, Subgroup
+from .engine import CHUNK_PRODUCTS, FiniteGroup, GroupError, Subgroup, sorted_unique
 from .fields import KappaTensor, structure_constants
 from .constructions import quintuple_generator_indices
 
@@ -94,7 +94,7 @@ class ElemAbelianBasis:
         order = np.argsort(elems, kind="stable")
         self._elems = elems[order]
         self._coords = coords[order]
-        if len(np.unique(self._elems)) != p ** len(self.basis):
+        if len(sorted_unique(self._elems)) != p ** len(self.basis):
             raise GroupError("basis elements are dependent; their products collide")
 
     @property
@@ -310,11 +310,11 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
     }
     pair_ok = True
     for a, b in itertools.combinations(cents, 2):
-        inter = np.intersect1d(a.members, b.members)
+        inter = np.intersect1d(a.members, b.members, assume_unique=True)
         if not np.array_equal(inter, qcen.members):
             pair_ok = False
             break
-        prods = np.unique(qz.mul_many(a.members[:, None], b.members[None, :]))
+        prods = sorted_unique(qz.mul_many(a.members[:, None], b.members[None, :]))
         if len(prods) != qz.order:
             pair_ok = False
             break
@@ -328,11 +328,16 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
 
 
 def _distinct_noncentral_centralizers(g: FiniteGroup) -> list:
-    zmask = g.center().membership_mask()
+    """Distinct C(x) over noncentral x, in order of first x, scanned in chunks."""
+    idx = np.arange(g.order, dtype=np.int64)
+    xs = np.flatnonzero(~g.center().membership_mask())
+    step = max(1, CHUNK_PRODUCTS // g.order)
     seen: dict = {}
-    for x in np.nonzero(~zmask)[0]:
-        c = g.centralizer(int(x))
-        seen.setdefault(tuple(c.members.tolist()), c)
+    for start in range(0, len(xs), step):
+        x = xs[start:start + step, None]
+        for row in g.mul_many(x, idx) == g.mul_many(idx, x):
+            if (key := row.tobytes()) not in seen:
+                seen[key] = Subgroup(g, idx[row], check=False)
     return list(seen.values())
 
 
@@ -554,7 +559,7 @@ def _generic_frame_xy(g: FiniteGroup, m: int):
     x1 = int(seeds[0])
     xs = _centralizer_picks(g, x1, m, z)
     cx = g.centralizer(x1)
-    reach = np.unique(g.mul_many(cx.members[:, None], der.members[None, :]))
+    reach = sorted_unique(g.mul_many(cx.members[:, None], der.members[None, :]))
     out = np.setdiff1d(np.arange(g.order, dtype=np.int64), reach, assume_unique=True)
     if not len(out):
         raise TheoremViolation(

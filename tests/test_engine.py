@@ -5,11 +5,15 @@ group on 3 letters) are independent of the construction module, so the
 engine is exercised by representations it was not written around.
 """
 
+import ast
 import functools
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import pgf.engine
 from pgf.engine import (
     Backend,
     CapExceeded,
@@ -17,6 +21,7 @@ from pgf.engine import (
     FiniteGroup,
     GroupError,
     Subgroup,
+    sorted_unique,
 )
 
 
@@ -359,6 +364,43 @@ def test_quotient_cost_is_n_times_rank():
     assert n * rank + normality + spanning < n * k  # the cost of x*k for every k
 
 
+def brute_force_center(g):
+    """Elements whose row of the full Cayley table equals their column.
+
+    The table comes straight from the backend's row products and a binary
+    search of the sorted codes, bypassing mul_many, its memo table and the
+    generator shortcut of center()."""
+    n = g.order
+    rows = np.ascontiguousarray(g.rows)
+    prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
+    table = np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
+    return np.flatnonzero((table == table.T).all(axis=1))
+
+
+@pytest.mark.parametrize("chunk", [pgf.engine.CHUNK_PRODUCTS, 7])
+@pytest.mark.parametrize("spec", ["hmat:p=3,m=1", "u3:p=3,m=2", "hmod:p=3,m=1"])
+def test_center_matches_brute_force(spec, chunk, monkeypatch):
+    from pgf.constructions import build_group
+
+    g = build_group(spec)
+    assert g.order <= 729
+    monkeypatch.setattr(pgf.engine, "CHUNK_PRODUCTS", chunk)
+    g._center = None
+    assert np.array_equal(g.center().members, brute_force_center(g))
+
+
+@pytest.mark.parametrize("spec", ["hmat:p=3,m=1", "hmod:p=3,m=1"])
+def test_inverse_table_built_in_slices(spec, monkeypatch):
+    from pgf.constructions import build_group
+
+    g = build_group(spec)
+    monkeypatch.setattr(pgf.engine, "CHUNK_PRODUCTS", 7)
+    g._inv = None
+    idx = np.arange(g.order)
+    assert np.all(g.mul_many(idx, g.inv_many(idx)) == g.identity)
+    assert np.all(g.mul_many(g.inv_many(idx), idx) == g.identity)
+
+
 # -- subgroup validation ---------------------------------------------------
 
 
@@ -581,3 +623,68 @@ def test_axioms_sampled_path():
     g = cyclic(2048)
     g.verify_group_axioms(samples=2000, seed=5)
     assert g.exponent() == 2048
+
+
+# -- index sets --------------------------------------------------------------
+
+
+@st.composite
+def index_arrays(draw):
+    """int16/int64 arrays: as drawn, sorted, strictly increasing or 2-D,
+    with values from a span of 7 (heavy duplicates) up to the full dtype."""
+    dtype = np.dtype(draw(st.sampled_from(["int16", "int64"])))
+    top = draw(st.sampled_from([3, 1000, int(np.iinfo(dtype).max)]))
+    a = np.array(draw(st.lists(st.integers(-top, top), max_size=60)), dtype=dtype)
+    layout = draw(st.sampled_from(["drawn", "sorted", "increasing", "2-D"]))
+    if layout == "sorted":
+        a = np.sort(a)
+    elif layout == "increasing":
+        a = np.unique(a, return_index=True)[0]
+    elif layout == "2-D" and len(a) % 2 == 0:
+        a = a.reshape(2, -1)
+    return a
+
+
+@given(index_arrays())
+@example(np.array([], dtype=np.int64))
+@example(np.array([5], dtype=np.int16))
+@example(np.arange(12, dtype=np.int64).reshape(3, 4))
+@example(np.full(40, 9, dtype=np.int16))
+@settings(max_examples=300, deadline=None)
+def test_sorted_unique_matches_numpy(a):
+    out = sorted_unique(a)
+    assert out.dtype == a.dtype
+    assert np.array_equal(out, np.unique(a))
+    assert not np.shares_memory(out, a)
+
+
+SORT_PATH_KEYWORDS = {"return_index", "return_inverse", "return_counts", "axis"}
+
+
+def hash_path_calls(source: str, filename: str = "<source>") -> list:
+    """np.unique calls without a sort-path keyword, and np.union1d calls."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+            continue
+        keywords = {k.arg for k in node.keywords}
+        if node.func.attr == "union1d" or (node.func.attr == "unique"
+                                           and not keywords & SORT_PATH_KEYWORDS):
+            found.append(f"{filename}:{node.lineno} np.{node.func.attr}")
+    return found
+
+
+def test_hash_path_guard_flags_plain_unique_and_union():
+    source = ("a = np.unique(x)\nb = np.union1d(x, y)\n"
+              "c = np.unique(x, return_index=True)\nd = np.unique(x, axis=0)\n")
+    assert hash_path_calls(source) == ["<source>:1 np.unique", "<source>:2 np.union1d"]
+
+
+def test_index_sets_avoid_numpy_hash_path():
+    # a plain np.unique returns the same values as sorted_unique, only much
+    # slower on numpy 2.4, so no other test would notice it coming back
+    paths = sorted(pathlib.Path(pgf.__file__).parent.glob("*.py"))
+    assert any(path.name == "engine.py" for path in paths)
+    found = [hit for path in paths for hit in hash_path_calls(path.read_text(), path.name)]
+    assert found == []

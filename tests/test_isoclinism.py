@@ -9,7 +9,7 @@ from pgf.constructions import (
     build_group,
     u3_named_elements,
 )
-from pgf.engine import CapExceeded, GroupError
+from pgf.engine import TABLE_CAP, CapExceeded, GroupError
 from pgf.isoclinism import (
     SearchConfig,
     are_isoclinic,
@@ -169,6 +169,15 @@ def test_verify_isomorphism_rejects_tampering(hmod31, quint31):
     assert not verify_isomorphism(hmod31, quint31, bad)
     assert not verify_isomorphism(hmod31, quint31, bad[:-1])
     assert not verify_isomorphism(hmod31, quint31, np.zeros_like(res.mapping))
+    # an entry outside 0..n-1 is rejected, not an index error (n) or an
+    # index numpy wraps around (-1), within the product memo table and past it
+    big = build_group("quint:p=7,m=1")
+    assert hmod31.order <= TABLE_CAP < big.order
+    for a, b, good in ((hmod31, quint31, res.mapping), (big, big, np.arange(big.order))):
+        for entry in (b.order, -1):
+            bad = good.copy()
+            bad[good == b.order - 1] = entry
+            assert not verify_isomorphism(a, b, bad)
 
 
 def test_isomorphism_result_serializes(u3_31):
@@ -260,6 +269,11 @@ def test_verify_rejects_tampered_witness(u3_31, u3_times_c3):
     bad_dst[[0, 1]] = bad_dst[[1, 0]]
     tampered = type(w)(w.phi, w.theta_src, bad_dst)
     assert not verify_isoclinism_witness(u3_31, u3_times_c3, tampered)
+    for entry in (len(w.phi), -1):
+        bad_phi = w.phi.copy()
+        bad_phi[w.phi == len(w.phi) - 1] = entry
+        tampered = type(w)(bad_phi, w.theta_src, w.theta_dst)
+        assert not verify_isoclinism_witness(u3_31, u3_times_c3, tampered)
 
 
 def test_search_cap_requires_override(monkeypatch, u3_31, u3_times_c3):

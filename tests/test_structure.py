@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pgf.structure
 from pgf.constructions import build_cyclic, build_group, parse_group_spec, quintuple_coords
 from pgf.engine import GroupError
 from pgf.fields import structure_constants
@@ -38,6 +39,11 @@ def hmod31():
 @pytest.fixture(scope="module")
 def hmod51():
     return build("hmod:p=5,m=1")
+
+
+@pytest.fixture(scope="module")
+def quint51():
+    return build("quint:p=5,m=1")
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +152,22 @@ def test_suite_report_is_json_ready(hmod31):
     blob = json.loads(json.dumps(rep.as_dict()))
     assert blob["passed"] is True
     assert blob["inferred"]["m"] == 1
+
+
+@pytest.mark.parametrize("step", [None, 7])
+@pytest.mark.parametrize("fixture", ["hmod31", "quint51", "hmod32"])
+def test_quotient_centralizer_scan_matches_per_element_loop(fixture, step, request, monkeypatch):
+    g = request.getfixturevalue(fixture)
+    qz = g.quotient(g.center())
+    if step:  # chunks of 7 noncentral elements, the last one short
+        monkeypatch.setattr(pgf.structure, "CHUNK_PRODUCTS", step * qz.order)
+    seen: dict = {}
+    for x in np.flatnonzero(~qz.center().membership_mask()):
+        c = qz.centralizer(int(x))
+        seen.setdefault(tuple(c.members.tolist()), c)
+    scanned = pgf.structure._distinct_noncentral_centralizers(qz)
+    assert [c.members.tolist() for c in scanned] == [list(k) for k in seen]
+    assert all(c.parent is qz for c in scanned)
 
 
 # -- recognition -----------------------------------------------------------
