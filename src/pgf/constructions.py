@@ -474,13 +474,12 @@ def build_direct_product_with_elem_abelian(
         row = back.identity_row().copy()
         row[1 + t] = 1
         gens.append(row)
-    gen_rows = np.array(gens, dtype=np.int64)
-    g = FiniteGroup.from_index_rows(
+    # the chart is dense, so a generator's code is its index
+    return FiniteGroup(
         name or f"{inner.name} x C{p}^{k}", back, rows,
-        generators=[0] * len(gen_rows), field=inner.field, kind="xab",
+        generators=back.encode(np.array(gens, dtype=np.int64)).tolist(),
+        field=inner.field, kind="xab", assume_generates=True,
     )
-    g.generators = [int(t) for t in g.index_of_rows(gen_rows)]
-    return g
 
 
 # -- hmod <-> quint identification ----------------------------------------

@@ -27,6 +27,14 @@ when the order is at most TABLE_CAP; larger groups multiply on demand
 from the coordinate rows.
 Element enumeration is refused beyond a hard cap (default 10**6).
 
+There is one constructor, __init__, for every universe.  It takes the row
+dtype from backend.identity_row(): int16 for coordinate rows, int64 for
+rows that hold another group's element indices (quotients, products).
+There is one loop that picks elements by span, FiniteGroup.basis: default
+generators, the generators of N in a quotient, the bases of the structure
+checks and the search generators of the isoclinism search all come from it,
+and closure_members is the only closure it calls.
+
 Sets of element indices are deduplicated by sorted_unique (a sort and an
 adjacent compare, skipped for strictly increasing input), never by a plain
 np.unique, whose hash table path on numpy 2.4 is far slower on a shared
@@ -165,8 +173,7 @@ class Subgroup:
         return len(self.members)
 
     def contains(self, i: int) -> bool:
-        pos = int(np.searchsorted(self.members, i))
-        return pos < len(self.members) and self.members[pos] == i
+        return bool(self.contains_many([i])[0])
 
     def contains_many(self, idx) -> np.ndarray:
         idx = _as_index_array(idx)
@@ -180,11 +187,7 @@ class Subgroup:
         return mask
 
     def is_abelian(self) -> bool:
-        mem = self.members
-        k = len(mem)
-        a = np.repeat(mem, k)
-        b = np.tile(mem, k)
-        return bool(np.all(self.parent.mul_many(a, b) == self.parent.mul_many(b, a)))
+        return _commute_pairwise(self.parent, self.parent.basis(self.members))
 
     def is_elementary_abelian(self) -> bool:
         if not self.is_abelian():
@@ -207,12 +210,11 @@ class FiniteGroup:
         rows: np.ndarray,
         generators=None,
         cap: int = DEFAULT_CAP,
-        table_cap: int = TABLE_CAP,
         field=None,
         kind: str | None = None,
         assume_generates: bool = False,
     ):
-        rows = np.ascontiguousarray(rows, dtype=np.int16)
+        rows = np.ascontiguousarray(rows, dtype=backend.identity_row().dtype)
         if len(rows) > cap:
             raise CapExceeded(f"group order {len(rows)} exceeds cap {cap}")
         codes = backend.encode(rows)
@@ -231,17 +233,20 @@ class FiniteGroup:
         self._dense = _is_dense(codes)
         self.field = field
         self.kind = kind
-        self.identity = int(self.index_of_rows(backend.identity_row()[None, :])[0])
+        try:
+            self.identity = int(self.index_of_rows(backend.identity_row()[None, :])[0])
+        except GroupError:
+            raise GroupError("identity not present in the universe") from None
         n = self.order
         self._table = None
-        self._table_cap = table_cap
+        self._table_cap = TABLE_CAP
         self._inv = None
         self._orders = None
         self._center = None
         self._classes = None
         self._lcs = None
         if generators is None:
-            generators = self._greedy_generators()
+            generators = self.basis()
             assume_generates = True
         self.generators = [int(g) for g in generators]
         for g in self.generators:
@@ -273,7 +278,7 @@ class FiniteGroup:
         elements rather than all its products.  The rows are sorted by
         code once, when the group is built.
         """
-        gen_rows = np.ascontiguousarray(generator_rows, dtype=np.int16)
+        gen_rows = np.ascontiguousarray(generator_rows, dtype=backend.identity_row().dtype)
         backend.check_rows(gen_rows)
         rows = np.vstack([backend.identity_row()[None, :], gen_rows])
         codes, first = np.unique(backend.encode(rows), return_index=True)
@@ -300,21 +305,6 @@ class FiniteGroup:
         gen_idx = np.searchsorted(codes, backend.encode(gen_rows))
         return cls(name, backend, np.vstack(blocks), generators=gen_idx.tolist(), cap=cap,
                    assume_generates=True, **kw)
-
-    def _greedy_generators(self, members=None) -> list[int]:
-        """Generators of the subgroup on the sorted members (default: the
-        whole group), picked greedily: the least member outside the span so
-        far joins."""
-        members = np.arange(self.order) if members is None else _as_index_array(members)
-        gens: list[int] = []
-        known = np.zeros(self.order, dtype=bool)
-        known[self.identity] = True
-        outside = members[~known[members]]
-        while len(outside):
-            gens.append(int(outside[0]))
-            known[self.closure_members(gens)] = True
-            outside = outside[~known[outside]]
-        return gens
 
     # -- primitive operations ---------------------------------------------
 
@@ -381,10 +371,6 @@ class FiniteGroup:
 
     def inv(self, i: int) -> int:
         return int(self.inv_many(i))
-
-    def label(self, i: int) -> bytes:
-        """Canonical element encoding (the coordinate row, little-endian int16)."""
-        return self.rows[i].tobytes()
 
     def describe(self, i: int) -> str:
         return self.backend.describe_row(self.rows[i])
@@ -464,11 +450,7 @@ class FiniteGroup:
         return n == 1
 
     def is_abelian(self) -> bool:
-        idx = np.arange(self.order, dtype=np.int64)
-        for g in self.generators:
-            if not bool(np.all(self.mul_many(idx, g) == self.mul_many(g, idx))):
-                return False
-        return True
+        return _commute_pairwise(self, self.generators)
 
     # -- subgroup machinery ------------------------------------------------
 
@@ -498,6 +480,27 @@ class FiniteGroup:
 
     def closure(self, gens) -> Subgroup:
         return Subgroup(self, self.closure_members(gens), check=False)
+
+    def basis(self, members=None, floor=None) -> list[int]:
+        """Least-index picks that span <members> over <floor>.
+
+        Walks the sorted members (default: the whole group) and picks the
+        least one outside the span of floor and the earlier picks, so the
+        picks together with floor generate <members, floor>.  On a p-group
+        with floor the Frattini subgroup, the picks are a minimal generating
+        set: d = log_p |G : Phi(G)| of them (Burnside's basis theorem).
+        """
+        members = np.arange(self.order) if members is None else sorted_unique(_as_index_array(members))
+        base = [] if floor is None else self.basis(floor)
+        known = np.zeros(self.order, dtype=bool)
+        known[self.closure_members(base)] = True
+        picks: list[int] = []
+        outside = members[~known[members]]
+        while len(outside):
+            picks.append(int(outside[0]))
+            known[self.closure_members(base + picks)] = True
+            outside = outside[~known[outside]]
+        return picks
 
     def normal_closure_members(self, members) -> np.ndarray:
         """Smallest normal subgroup containing members, as a sorted index array.
@@ -563,15 +566,7 @@ class FiniteGroup:
                 back[img] = idx
                 moves.append(img)
                 moves.append(back)
-            labels = idx.copy()
-            while True:
-                before = labels
-                for img in moves:
-                    labels = np.minimum(labels, labels[img])
-                labels = labels[labels]  # path compression
-                if np.array_equal(labels, before):
-                    break
-            reps, class_of = np.unique(labels, return_inverse=True)
+            reps, class_of = np.unique(_flood_min(moves, n), return_inverse=True)
             sizes = np.bincount(class_of)
             self._classes = ConjugacyReport(
                 class_of=class_of.astype(np.int64),
@@ -637,15 +632,7 @@ class FiniteGroup:
             raise GroupError("lower central index must be >= 1")
         return series[min(k, len(series)) - 1]
 
-    # -- quotient / relabel ------------------------------------------------
-
-    @classmethod
-    def from_index_rows(cls, name, backend, rows, generators, field=None, kind=None) -> "FiniteGroup":
-        """Construct a group whose coordinates are indices into another group
-        (quotients, relabelings, products); rows stay int64."""
-        g = cls.__new__(cls)
-        _init_wide(g, name, backend, rows, generators=generators, field=field, kind=kind)
-        return g
+    # -- quotient ----------------------------------------------------------
 
     def quotient(self, n_sub: Subgroup, name: str | None = None) -> "FiniteGroup":
         """G/N for a normal subgroup N, its elements the cosets xN.
@@ -655,12 +642,11 @@ class FiniteGroup:
         flooding: right multiplication by each member k of a generating
         set of N is a permutation of the index set (x -> x*k), the orbits
         of the group those permutations generate are exactly the cosets
-        xN, and flooding every label to its minimum along them (with path
-        compression, as in conjugacy_classes) leaves min(xN) on every x.
-        That costs n * rank(N) products, rank(N) being the size of the
-        greedy generating set, instead of the n * |N| of multiplying the
-        group by every member of N; the normality check adds 2 * |N|
-        products per generator of G.
+        xN, and flooding every label to its minimum along them (_flood_min,
+        as in conjugacy_classes) leaves min(xN) on every x.  That costs
+        n * rank(N) products, rank(N) being the size of N's basis, instead
+        of the n * |N| of multiplying the group by every member of N; the
+        normality check adds 2 * |N| products per generator of G.
         """
         if n_sub.parent is not self:
             raise GroupError("subgroup belongs to a different group")
@@ -669,52 +655,15 @@ class FiniteGroup:
             if not bool(np.all(n_sub.contains_many(self.conjugate_many(mem, g)))):
                 raise GroupError("quotient by a non-normal subgroup")
         idx = np.arange(self.order, dtype=np.int64)
-        moves = [self.mul_many(idx, k) for k in self._greedy_generators(mem)]
-        rep = idx
-        while True:
-            before = rep
-            for img in moves:
-                rep = np.minimum(rep, rep[img])
-            rep = rep[rep]  # path compression
-            if np.array_equal(rep, before):
-                break
+        rep = _flood_min([self.mul_many(idx, k) for k in self.basis(mem)], self.order)
         leaders = sorted_unique(rep)
         coset_of = np.searchsorted(leaders, rep)
-        backend = QuotientBackend(self, leaders, coset_of)
-        # int16 rows cannot hold parent indices; the wide initializer keeps int64
-        rows = leaders[:, None].astype(np.int64)
-        qname = name or f"{self.name} / {n_sub.order}"
-        q = FiniteGroup.__new__(FiniteGroup)
-        _init_wide(q, qname, backend, rows, generators=sorted_unique(coset_of[self.generators]).tolist(),
-                   field=self.field, kind=None)
-        return q
-
-    def relabel(self, perm) -> "FiniteGroup":
-        """Same group with element perm[i] renamed to i (test utility)."""
-        perm = _as_index_array(perm)
-        if sorted(perm.tolist()) != list(range(self.order)):
-            raise GroupError("relabeling must be a permutation")
-        backend = RelabeledBackend(self, perm)
-        rows = np.arange(self.order, dtype=np.int64)[:, None]
-        inv_perm = np.empty(self.order, dtype=np.int64)
-        inv_perm[perm] = np.arange(self.order, dtype=np.int64)
-        g = FiniteGroup.__new__(FiniteGroup)
-        _init_wide(g, f"{self.name} (relabeled)", backend, rows,
-                   generators=inv_perm[self.generators].tolist(), field=self.field, kind=None)
-        return g
+        return FiniteGroup(name or f"{self.name} / {n_sub.order}",
+                           QuotientBackend(self, leaders, coset_of), leaders[:, None],
+                           generators=sorted_unique(coset_of[self.generators]).tolist(),
+                           field=self.field, assume_generates=True)
 
     # -- structural predicates --------------------------------------------
-
-    def breadth(self, x: int) -> int:
-        """log_p of the index of the centralizer of x."""
-        if not self.is_prime_power():
-            raise GroupError("breadth needs a p-group")
-        c = self.centralizer(x).order
-        index = self.order // c
-        b = round(math.log(index, self.prime))
-        if self.prime**b != index:
-            raise GroupError("centralizer index is not a prime power")
-        return b
 
     def centralizer_orders_in(self, a: Subgroup) -> np.ndarray:
         """|C_A(x)| for every element x, vectorized over the whole group."""
@@ -728,21 +677,6 @@ class FiniteGroup:
             right = self.mul_many(mem[None, :], xs[:, None])
             counts[xs] = (left == right).sum(axis=1)
         return counts
-
-    def breadth_set(self, a: Subgroup) -> np.ndarray:
-        """Indices achieving the maximal breadth relative to subgroup a.
-
-        a must be abelian and normal; b_a(x) = log_p [a : C_a(x)].
-        """
-        if not self.is_prime_power():
-            raise GroupError("breadth needs a p-group")
-        if not a.is_abelian():
-            raise GroupError("breadth set needs an abelian subgroup")
-        for g in self.generators:
-            if not bool(np.all(a.contains_many(self.conjugate_many(a.members, g)))):
-                raise GroupError("breadth set needs a normal subgroup")
-        counts = self.centralizer_orders_in(a)
-        return np.nonzero(counts == counts.min())[0]
 
     def camina_check(self) -> bool:
         """Whether every class outside the derived subgroup is a full coset."""
@@ -919,34 +853,24 @@ def _is_dense(codes: np.ndarray) -> bool:
     return np.array_equal(codes, np.arange(len(codes)))
 
 
-def _init_wide(g: FiniteGroup, name, backend, rows, generators, field, kind):
-    """Initialize a FiniteGroup whose rows hold parent indices (int64)."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    codes = backend.encode(rows)
-    order = np.argsort(codes, kind="stable")
-    rows = np.ascontiguousarray(rows[order])
-    codes = codes[order]
-    if len(codes) > 1 and bool(np.any(codes[1:] == codes[:-1])):
-        raise GroupError("duplicate elements in universe")
-    g.name = name
-    g.backend = backend
-    g.rows = np.asfortranarray(rows)
-    g.codes = codes
-    g.order = len(rows)
-    g._dense = _is_dense(codes)
-    g.field = field
-    g.kind = kind
-    g.identity = int(np.searchsorted(codes, backend.encode(backend.identity_row()[None, :])[0]))
-    if g.identity >= g.order or codes[g.identity] != backend.encode(backend.identity_row()[None, :])[0]:
-        raise GroupError("identity not present")
-    g._table = None
-    g._table_cap = TABLE_CAP
-    g._inv = None
-    g._orders = None
-    g._center = None
-    g._classes = None
-    g._lcs = None
-    g.generators = [int(x) for x in generators]
+def _flood_min(moves, n: int) -> np.ndarray:
+    """Each of 0..n-1 flooded to the least index it reaches along the
+    permutations in moves (min-label flooding with path compression)."""
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        before = labels
+        for img in moves:
+            labels = np.minimum(labels, labels[img])
+        labels = labels[labels]  # path compression
+        if np.array_equal(labels, before):
+            return labels
+
+
+def _commute_pairwise(g: FiniteGroup, elems) -> bool:
+    """Whether elems commute pairwise: <elems> is abelian exactly then."""
+    e = _as_index_array(elems)
+    a, b = np.repeat(e, len(e)), np.tile(e, len(e))
+    return bool(np.all(g.mul_many(a, b) == g.mul_many(b, a)))
 
 
 class QuotientBackend(Backend):
@@ -983,35 +907,3 @@ class QuotientBackend(Backend):
 
     def describe_row(self, row) -> str:
         return self.parent.describe(int(row[0])) + "N"
-
-    def encode(self, rows):
-        return rows[:, 0].astype(np.int64)
-
-
-class RelabeledBackend(Backend):
-    """A permuted copy of another group's index set (testing aid)."""
-
-    def __init__(self, base: FiniteGroup, perm: np.ndarray):
-        self.base = base
-        self.perm = perm
-        inv = np.empty(len(perm), dtype=np.int64)
-        inv[perm] = np.arange(len(perm), dtype=np.int64)
-        self.inv_perm = inv
-        self.width = 1
-        self.radices = (base.order,)
-
-    def identity_row(self):
-        return np.array([self.inv_perm[self.base.identity]], dtype=np.int64)
-
-    def mul_rows(self, a, b):
-        prod = self.base.mul_many(self.perm[a[:, 0]], self.perm[b[:, 0]])
-        return self.inv_perm[prod][:, None]
-
-    def inv_rows(self, a):
-        return self.inv_perm[self.base.inv_many(self.perm[a[:, 0]])][:, None]
-
-    def describe_row(self, row):
-        return self.base.describe(int(self.perm[int(row[0])]))
-
-    def encode(self, rows):
-        return rows[:, 0].astype(np.int64)

@@ -105,6 +105,17 @@ def _fingerprints(g: FiniteGroup) -> np.ndarray:
     return np.stack([g.element_orders(), g.class_size_of()], axis=1)
 
 
+def _single_valued(src: np.ndarray, dst: np.ndarray):
+    """The pairs src[k] -> dst[k] as a map (sorted distinct sources and
+    their images), or None when one source carries two images."""
+    order = np.argsort(src, kind="stable")
+    src, dst = src[order], dst[order]
+    starts = np.nonzero(np.r_[True, src[1:] != src[:-1]])[0]
+    if np.any(np.maximum.reduceat(dst, starts) != np.minimum.reduceat(dst, starts)):
+        return None
+    return src[starts], dst[starts]
+
+
 def _induced_map(a: FiniteGroup, b: FiniteGroup, srcs, imgs):
     """Homomorphism <srcs> -> b extending srcs[i] -> imgs[i], or None.
 
@@ -121,17 +132,11 @@ def _induced_map(a: FiniteGroup, b: FiniteGroup, srcs, imgs):
     imgs_arr = np.asarray(imgs, dtype=np.int64)
     frontier = sorted_unique(np.concatenate([[a.identity], srcs_arr]))
     while len(frontier) and len(srcs_arr):
-        new_src = a.mul_many(frontier[:, None], srcs_arr[None, :]).ravel()
-        new_img = b.mul_many(amap[frontier][:, None], imgs_arr[None, :]).ravel()
-        order = np.argsort(new_src, kind="stable")
-        new_src = new_src[order]
-        new_img = new_img[order]
-        starts = np.nonzero(np.r_[True, new_src[1:] != new_src[:-1]])[0]
-        # duplicates of one product must carry one image
-        if np.any(np.maximum.reduceat(new_img, starts) != np.minimum.reduceat(new_img, starts)):
+        pairs = _single_valued(a.mul_many(frontier[:, None], srcs_arr[None, :]).ravel(),
+                               b.mul_many(amap[frontier][:, None], imgs_arr[None, :]).ravel())
+        if pairs is None:
             return None
-        new_src = new_src[starts]
-        new_img = new_img[starts]
+        new_src, new_img = pairs
         known = amap[new_src] != -1
         if np.any(amap[new_src[known]] != new_img[known]):
             return None
@@ -139,6 +144,19 @@ def _induced_map(a: FiniteGroup, b: FiniteGroup, srcs, imgs):
         amap[new_src[fresh]] = new_img[fresh]
         frontier = new_src[fresh]
     return amap
+
+
+def _search_generators(a: FiniteGroup) -> list:
+    """The generators whose images the search assigns, one per level.
+
+    On a p-group they are a basis over the Frattini subgroup
+    Phi = <G', G^p>, so the search has exactly d = log_p |G : Phi| levels;
+    on any other group, a plain basis.
+    """
+    if a.order == 1 or not a.is_prime_power():
+        return a.basis()
+    powers = a.power_many(np.arange(a.order), a.prime)
+    return a.basis(floor=np.concatenate([a.derived_subgroup().members, powers]))
 
 
 def _search_bijections(a: FiniteGroup, b: FiniteGroup, budget: _Budget, on_found):
@@ -150,7 +168,7 @@ def _search_bijections(a: FiniteGroup, b: FiniteGroup, budget: _Budget, on_found
     tried in ascending index order, so the first witness is the
     lexicographically least.
     """
-    gens = a._greedy_generators()
+    gens = _search_generators(a)
     fpa = _fingerprints(a)
     fpb = _fingerprints(b)
     buckets: dict = {}
@@ -338,16 +356,10 @@ def _force_theta(am: CommutationMap, bm: CommutationMap, phi: np.ndarray):
     every bracket value gets exactly one candidate image; single-valuedness
     and extension to the whole derived subgroup are checked, not assumed.
     """
-    src = am.table.ravel()
-    dst = bm.table[phi][:, phi].ravel()
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = dst[order]
-    starts = np.nonzero(np.r_[True, src[1:] != src[:-1]])[0]
-    if np.any(np.maximum.reduceat(dst, starts) != np.minimum.reduceat(dst, starts)):
+    pairs = _single_valued(am.table.ravel(), bm.table[phi][:, phi].ravel())
+    if pairs is None:
         return None
-    pair_src = src[starts]
-    pair_dst = dst[starts]
+    pair_src, pair_dst = pairs
     a_parent = am.derived.parent
     b_parent = bm.derived.parent
     amap = _induced_map(a_parent, b_parent, pair_src.tolist(), pair_dst.tolist())

@@ -63,12 +63,6 @@ def _p_exponent(p: int, n: int):
     return e if n == 1 else None
 
 
-def _contains_sorted(members: np.ndarray, idx) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(members, idx), len(members) - 1)
-    return members[pos] == idx
-
-
 class ElemAbelianBasis:
     """Coordinate map of an elementary abelian subgroup from a basis.
 
@@ -113,52 +107,6 @@ class ElemAbelianBasis:
 
     def log(self, i: int) -> np.ndarray:
         return self.log_many(np.array([i], dtype=np.int64))[0]
-
-
-def _greedy_basis(group: FiniteGroup, members: np.ndarray) -> list:
-    """Index-order generating picks for the subgroup on members."""
-    picked: list = []
-    span = np.array([group.identity], dtype=np.int64)
-    for c in members:
-        if len(span) == len(members):
-            break
-        ci = int(c)
-        if _contains_sorted(span, [ci])[0]:
-            continue
-        picked.append(ci)
-        span = group.closure_members(picked)
-    return picked
-
-
-def _basis_mod(group: FiniteGroup, members: np.ndarray, floor: Subgroup) -> list:
-    """Index-order picks generating the subgroup on members over floor."""
-    floor_basis = _greedy_basis(group, floor.members)
-    picked: list = []
-    span = floor.members
-    for c in members:
-        if len(span) == len(members):
-            break
-        ci = int(c)
-        if _contains_sorted(span, [ci])[0]:
-            continue
-        picked.append(ci)
-        span = group.closure_members(picked + floor_basis)
-    return picked
-
-
-def _generates(group: FiniteGroup, pool: np.ndarray) -> bool:
-    """Whether the pool generates the whole group (greedy index-order picks)."""
-    picked: list = []
-    span = np.array([group.identity], dtype=np.int64)
-    for c in pool:
-        ci = int(c)
-        if _contains_sorted(span, [ci])[0]:
-            continue
-        picked.append(ci)
-        span = group.closure_members(picked)
-        if len(span) == group.order:
-            return True
-    return len(span) == group.order
 
 
 def verify_class3_profile(g: FiniteGroup) -> CheckReport:
@@ -213,8 +161,8 @@ def _derived_centralizer_is_center_mask(g: FiniteGroup, z: Subgroup,
     basis h_1..h_m of G' over Z, are independent in Z.
     """
     p = g.prime
-    zb = ElemAbelianBasis(g, _greedy_basis(g, z.members))
-    hb = _basis_mod(g, der.members, z)
+    zb = ElemAbelianBasis(g, g.basis(z.members))
+    hb = g.basis(der.members, floor=z.members)
     n = g.order
     idx = np.arange(n, dtype=np.int64)
     vecs = [zb.log_many(g.commutator_many(np.full(n, h, dtype=np.int64), idx))
@@ -278,7 +226,7 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
         b_mask = g.centralizer_orders_in(der) == z.order
     b_idx = np.nonzero(b_mask)[0]
     checks["breadth_family_generates"] = {
-        "passed": bool(len(b_idx)) and _generates(g, b_idx),
+        "passed": bool(len(b_idx)) and len(g.closure_members(g.basis(b_idx))) == n,
         "family_size": int(len(b_idx)),
     }
 
@@ -558,8 +506,8 @@ def _generic_frame_xy(g: FiniteGroup, m: int):
         raise TheoremViolation("no element has derived centralizer equal to the center")
     x1 = int(seeds[0])
     xs = _centralizer_picks(g, x1, m, z)
-    cx = g.centralizer(x1)
-    reach = sorted_unique(g.mul_many(cx.members[:, None], der.members[None, :]))
+    # G' is normal, so C(x1)G' is the subgroup the two bases span
+    reach = g.closure_members(g.basis(g.centralizer(x1).members) + g.basis(der.members))
     out = np.setdiff1d(np.arange(g.order, dtype=np.int64), reach, assume_unique=True)
     if not len(out):
         raise TheoremViolation(
@@ -571,17 +519,8 @@ def _generic_frame_xy(g: FiniteGroup, m: int):
 
 def _centralizer_picks(g: FiniteGroup, seed: int, m: int, z: Subgroup) -> list:
     """seed plus m-1 centralizer members independent over the center."""
-    zbasis = _greedy_basis(g, z.members)
-    picks = [seed]
-    span = g.closure_members(picks + zbasis)
-    for c in g.centralizer(seed).members:
-        if len(picks) == m:
-            break
-        ci = int(c)
-        if _contains_sorted(span, [ci])[0]:
-            continue
-        picks.append(ci)
-        span = g.closure_members(picks + zbasis)
+    floor = np.append(z.members, seed)
+    picks = [seed] + g.basis(g.centralizer(seed).members, floor=floor)[:m - 1]
     if len(picks) < m:
         raise TheoremViolation("the seed centralizer cannot carry the frame")
     return picks

@@ -24,6 +24,8 @@ from pgf.engine import (
     sorted_unique,
 )
 
+from helpers import breadth, breadth_set, label, relabel
+
 
 class CyclicRowBackend(Backend):
     def __init__(self, n):
@@ -192,8 +194,8 @@ def test_centralizers():
     assert g.centralizer(z0).order == 27
     der = g.derived_subgroup()
     assert g.centralizer_in(der, x).order == 3
-    assert g.breadth(x) == 1
-    assert g.breadth(g.identity) == 0
+    assert breadth(g, x) == 1
+    assert breadth(g, g.identity) == 0
 
 
 def test_breadth_set_against_hand_count():
@@ -203,7 +205,7 @@ def test_breadth_set_against_hand_count():
     mask = g.rows[:, 1] == 0
     a = g.subgroup(np.nonzero(mask)[0])
     assert a.order == 9
-    hits = g.breadth_set(a)
+    hits = breadth_set(g, a)
     assert len(hits) == 18
     assert np.all(g.rows[hits, 1] != 0)
 
@@ -211,11 +213,11 @@ def test_breadth_set_against_hand_count():
 def test_breadth_set_rejects_nonabelian_and_nonnormal():
     g = heis(3)
     with pytest.raises(GroupError, match="abelian"):
-        g.breadth_set(g.full_subgroup())
+        breadth_set(g, g.full_subgroup())
     x = int(g.index_of_rows(np.array([[1, 0, 0]], dtype=np.int16))[0])
     line = g.closure([x])
     with pytest.raises(GroupError, match="normal"):
-        g.breadth_set(line)
+        breadth_set(g, line)
 
 
 def test_sym3_is_not_nilpotent():
@@ -364,16 +366,21 @@ def test_quotient_cost_is_n_times_rank():
     assert n * rank + normality + spanning < n * k  # the cost of x*k for every k
 
 
-def brute_force_center(g):
-    """Elements whose row of the full Cayley table equals their column.
+def cayley_table(g):
+    """The full Cayley table, table[i, j] = i * j.
 
-    The table comes straight from the backend's row products and a binary
-    search of the sorted codes, bypassing mul_many, its memo table and the
-    generator shortcut of center()."""
+    It comes straight from the backend's row products and a binary search
+    of the sorted codes, bypassing mul_many and its memo table."""
     n = g.order
     rows = np.ascontiguousarray(g.rows)
     prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
-    table = np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
+    return np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
+
+
+def brute_force_center(g):
+    """Elements whose row of the full Cayley table equals their column,
+    bypassing the generator shortcut of center()."""
+    table = cayley_table(g)
     return np.flatnonzero((table == table.T).all(axis=1))
 
 
@@ -399,6 +406,88 @@ def test_inverse_table_built_in_slices(spec, monkeypatch):
     idx = np.arange(g.order)
     assert np.all(g.mul_many(idx, g.inv_many(idx)) == g.identity)
     assert np.all(g.mul_many(g.inv_many(idx), idx) == g.identity)
+
+
+# -- spanning sets -----------------------------------------------------------
+
+
+def oracle_span(table, identity, elems) -> np.ndarray:
+    """Mask of <elems>: right products by elems from the table until nothing
+    new appears (in a finite group, those words reach every inverse)."""
+    elems = np.asarray(elems, dtype=np.int64)
+    span = np.zeros(len(table), dtype=bool)
+    span[identity] = True
+    while True:
+        grown = span.copy()
+        grown[table[np.flatnonzero(span)][:, elems]] = True
+        if np.array_equal(grown, span):
+            return span
+        span = grown
+
+
+def oracle_basis(table, identity, members, floor) -> list:
+    """The greedy picks, one member at a time in ascending order: a member
+    joins when it lies outside the span of the floor's picks and the
+    earlier picks."""
+    base = oracle_basis(table, identity, floor, []) if len(floor) else []
+    picks = []
+    span = oracle_span(table, identity, base)
+    for x in sorted(set(members)):
+        if not span[x]:
+            picks.append(x)
+            span = oracle_span(table, identity, base + picks)
+    return picks
+
+
+BASIS_CASES = ("heis(3)", "heis(5)", "hmod:p=3,m=1", "hmod:p=3,m=1/Z")
+
+
+@functools.lru_cache(maxsize=None)
+def basis_cases() -> dict:
+    from pgf.constructions import build_group
+
+    g = build_group("hmod:p=3,m=1")
+    groups = {"heis(3)": heis(3), "heis(5)": heis(5), "hmod:p=3,m=1": g,
+              "hmod:p=3,m=1/Z": g.quotient(g.center())}
+    return {name: (h, cayley_table(h)) for name, h in groups.items()}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_basis_matches_greedy_oracle(data):
+    g, table = basis_cases()[data.draw(st.sampled_from(BASIS_CASES))]
+    index = st.integers(0, g.order - 1)
+    members = data.draw(st.none() | st.lists(index, max_size=12))
+    floor = data.draw(st.none() | st.lists(index, max_size=4))
+    picks = g.basis(members, floor)
+    everything = range(g.order) if members is None else members
+    assert picks == oracle_basis(table, g.identity, everything, floor or [])
+    # the picks and the floor span exactly <members, floor>
+    assert np.array_equal(oracle_span(table, g.identity, picks + (floor or [])),
+                          oracle_span(table, g.identity, list(everything) + (floor or [])))
+
+
+def test_basis_of_a_subgroup_over_itself_is_empty():
+    g = heis(3)
+    z = g.center().members
+    assert g.basis(z, floor=z) == []
+    assert g.basis([]) == []
+    assert len(g.basis(z)) == 1
+    assert len(g.basis()) == 2
+
+
+def test_constructor_rejects_bad_index_rows():
+    from pgf.constructions import build_group
+
+    q = build_group("hmod:p=7,m=1")  # rows are indices into hmat, past int16
+    assert q.rows.dtype == np.int64 and q.rows.max() > np.iinfo(np.int16).max
+    with pytest.raises(GroupError, match="duplicate"):
+        FiniteGroup("dup", q.backend, np.vstack([q.rows, q.rows[-1:]]))
+    with pytest.raises(GroupError, match="identity"):
+        FiniteGroup("no identity", q.backend, np.delete(q.rows, q.identity, axis=0))
+    again = FiniteGroup("copy", q.backend, q.rows[::-1], generators=q.generators)
+    assert again.rows.dtype == np.int64
+    assert np.array_equal(again.rows, q.rows) and again.identity == q.identity
 
 
 # -- subgroup validation ---------------------------------------------------
@@ -491,7 +580,7 @@ def test_mul_many_broadcasting():
 
 def test_labels_and_describe():
     g = heis(3)
-    seen = {g.label(i) for i in range(g.order)}
+    seen = {label(g, i) for i in range(g.order)}
     assert len(seen) == g.order
     assert g.describe(g.identity) == "(0,0,0)"
 
@@ -534,7 +623,7 @@ def test_relabel_preserves_invariants():
     g = heis(3)
     rng = np.random.default_rng(11)
     perm = rng.permutation(g.order)
-    h = g.relabel(perm)
+    h = relabel(g, perm)
     h.verify_group_axioms()
     assert h.order == g.order
     assert h.nilpotency_class() == g.nilpotency_class()
@@ -546,7 +635,7 @@ def test_relabel_preserves_invariants():
 def test_relabel_rejects_non_permutation():
     g = cyclic(12)
     with pytest.raises(GroupError):
-        g.relabel(np.zeros(12, dtype=np.int64))
+        relabel(g, np.zeros(12, dtype=np.int64))
 
 
 # -- identity suite --------------------------------------------------------
@@ -687,4 +776,60 @@ def test_index_sets_avoid_numpy_hash_path():
     paths = sorted(pathlib.Path(pgf.__file__).parent.glob("*.py"))
     assert any(path.name == "engine.py" for path in paths)
     found = [hit for path in paths for hit in hash_path_calls(path.read_text(), path.name)]
+    assert found == []
+
+
+# -- one constructor, one span loop ------------------------------------------
+
+SPAN_LOOP_HOMES = {"basis", "normal_closure_members"}  # methods of FiniteGroup
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def span_breaches(source: str, filename: str = "<source>") -> list:
+    """__new__ calls, and loops calling closure_members anywhere but in
+    FiniteGroup.basis and FiniteGroup.normal_closure_members."""
+    tree = ast.parse(source, filename)
+    homes = {id(inner)
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "FiniteGroup"
+             for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in SPAN_LOOP_HOMES
+             for inner in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__":
+            found.append(f"{filename}:{node.lineno} __new__")
+        elif isinstance(node, LOOPS) and id(node) not in homes and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "closure_members" for call in ast.walk(node)):
+            found.append(f"{filename}:{node.lineno} closure_members in a loop")
+    return found
+
+
+def test_span_guard_flags_new_and_closure_loops():
+    source = '''class FiniteGroup:
+    def basis(self):
+        while True:
+            self.closure_members([])
+
+    def other(self):
+        for x in range(3):
+            self.closure_members([x])
+
+def basis(g):
+    return [g.closure_members([x]) for x in range(3)]
+
+g = FiniteGroup.__new__(FiniteGroup)
+while g:
+    g = None
+'''
+    assert span_breaches(source) == ["<source>:7 closure_members in a loop",
+                                     "<source>:11 closure_members in a loop",
+                                     "<source>:13 __new__"]
+
+
+def test_one_constructor_and_one_span_loop():
+    # a second initializer or a second greedy span loop returns the same
+    # groups and picks, so only the source shows it coming back
+    paths = sorted(pathlib.Path(pgf.__file__).parent.glob("*.py"))
+    assert any(path.name == "engine.py" for path in paths)
+    found = [hit for path in paths for hit in span_breaches(path.read_text(), path.name)]
     assert found == []

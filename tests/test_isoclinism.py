@@ -1,5 +1,7 @@
 """Commutation maps, isomorphism search, and isoclinism decisions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from pgf.constructions import (
 from pgf.engine import TABLE_CAP, CapExceeded, GroupError
 from pgf.isoclinism import (
     SearchConfig,
+    _search_generators,
     are_isoclinic,
     are_isomorphic,
     commutation_map,
@@ -300,3 +303,29 @@ def test_witness_serializes_as_index_tables(u3_31, u3_times_c3):
     assert sorted(w) == ["phi", "theta_dst", "theta_src"]
     assert sorted(w["phi"]) == list(range(9))
     assert all(isinstance(v, int) for v in w["theta_src"])
+
+
+# the acceptance spec matrix, both moduli at (3, 2), and xab extensions
+SPEC_MATRIX = ([f"{fam}:p={p},m={m}" for fam in ("u3", "quint", "hmat", "hmod")
+                for p, m in ((3, 1), (5, 1), (7, 1), (3, 2))]
+               + ["quint:p=3,m=2,modulus=[2,1,1]", "hmod:p=3,m=2,modulus=[2,1,1]",
+                  "xab:u3:p=3,m=1,k=1"]
+               + [f"xab:hmod:p={p},m={m},k=1" for p, m in ((3, 1), (5, 1), (7, 1), (3, 2))])
+
+
+@pytest.mark.parametrize("spec", SPEC_MATRIX)
+def test_search_depth_is_the_frattini_rank(spec):
+    # Burnside's basis theorem: every minimal generating set of a p-group
+    # has log_p |G : Phi(G)| elements, Phi(G) = <G', G^p>
+    g = build_group(spec)
+    q = g.quotient(g.center())
+    p = q.prime
+    powers = q.power_many(np.arange(q.order), p)
+    phi = q.closure_members(np.concatenate([q.derived_subgroup().members, powers]))
+    d = round(math.log(q.order // len(phi), p))
+    assert p ** d * len(phi) == q.order
+    gens = _search_generators(q)
+    assert len(gens) == d
+    assert len(q.closure_members(gens)) == q.order
+    if spec.startswith("hmod:p=3,m=2"):
+        assert d == 4  # a plain basis of this quotient has 6 elements
