@@ -13,6 +13,11 @@ codes, q-ary):
 plus `xab`, the direct product of any of these with an elementary abelian
 group of rank k.  Group spec strings like "u3:p=3,m=2" name a family plus
 field parameters and parse into GroupSpec.
+
+u3, quint and hmat enumerate their full coordinate chart by code, so a
+generator's index is its code.  The constructor's closure over the
+generators proves that they generate the chart; for hmat, each product must
+equal a stored pattern row, so the pattern is multiplication-closed.
 """
 
 from __future__ import annotations
@@ -74,20 +79,21 @@ class MatrixBackend(Backend):
     def inv_rows(self, a):
         # (I + N)^-1 = I - N + N^2 - ... with N nilpotent of degree < d
         ops = self.ops
+        a = _columns(a)
         acc = ops.neg(a)
         power = a
         sign = 1
         for _ in range(2, self.d):
             nxt = np.zeros_like(a)
             for t in range(self.width):
-                col = nxt[:, t]
+                col = nxt[t]
                 for ta, tb in self.middle[t]:
-                    col = ops.add(col, ops.mul(power[:, ta], a[:, tb]))
-                nxt[:, t] = col
+                    col = ops.add(col, ops.mul(power[ta], a[tb]))
+                nxt[t] = col
             power = nxt
             acc = ops.add(acc, power) if sign else ops.sub(acc, power)
             sign ^= 1
-        return acc
+        return acc.T
 
     def describe_row(self, row):
         return "(" + ",".join(str(int(v)) for v in row) + ")"
@@ -105,8 +111,10 @@ H_CHART = ("d", "a", "f", "e", "c", "b")
 class PatternedU5Backend(MatrixBackend):
     """The 5x5 unitriangular backend restricted to the tied-entry pattern.
 
-    check_rows asserts the ties, so a breadth-first closure that stays
-    green is an executable proof the pattern is multiplication-closed.
+    check_rows asserts the ties on the universe of pattern rows.  Products
+    are not checked here: index_of_rows compares each one exactly with the
+    stored row at its chart code, so the constructor's closure proof over
+    the generators also proves the pattern multiplication-closed.
 
     A row's code is its six-parameter chart code, radix q per free slot,
     least significant first in the order H_CHART = (d, a, f, e, c, b), so
@@ -266,9 +274,10 @@ class ProductBackend(Backend):
 # -- builders --------------------------------------------------------------
 
 
-def _require_order(name: str, got: int, want: int):
-    if got != want:
-        raise GroupError(f"{name}: expected order {want}, built {got}")
+def _chart_rows(q: int, width: int) -> np.ndarray:
+    """All q^width rows of field codes, laid out by code (column 0 least
+    significant), so a row's index is its code."""
+    return np.indices((q,) * width, dtype=np.int16).reshape(width, -1)[::-1].T
 
 
 def build_u3(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = None) -> FiniteGroup:
@@ -281,11 +290,11 @@ def build_u3(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = None) 
     apow = ops.alpha_pow
     gens = [[0, 0, apow[i]] for i in range(field.m)]
     gens += [[apow[i], 0, 0] for i in range(field.m)]
-    g = FiniteGroup.from_closure(
-        name or f"u3:p={field.p},m={field.m}", back,
-        np.array(gens, dtype=np.int16), cap=cap, field=field, kind="u3",
+    g = FiniteGroup(
+        name or f"u3:p={field.p},m={field.m}", back, _chart_rows(q, 3),
+        generators=back.encode(np.array(gens, dtype=np.int16)).tolist(),
+        cap=cap, field=field, kind="u3",
     )
-    _require_order(g.name, g.order, q**3)
     _check_u3_relations(g, ops)
     return g
 
@@ -341,24 +350,16 @@ def build_quintuple(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None =
         raise CapExceeded(f"quint order {n} exceeds cap {cap}")
     ops = FieldOps(field)
     back = QuintupleBackend(ops)
-    codes = np.arange(n, dtype=np.int64)
-    rows = np.empty((n, 5), dtype=np.int16)
-    for t in range(5):
-        rows[:, t] = (codes // q**t) % q
+    rows = _chart_rows(q, 5)
     apow = ops.alpha_pow
     gen_rows = np.zeros((2 * field.m, 5), dtype=np.int16)
     for i in range(field.m):
         gen_rows[i, 0] = apow[i]
         gen_rows[field.m + i, 1] = apow[i]
-    # the universe is laid out by code, so generator indices are their codes
-    gen_guess = [apow[i] for i in range(field.m)] + [apow[i] * q for i in range(field.m)]
     g = FiniteGroup(
         name or f"quint:p={field.p},m={field.m}", back, rows,
-        generators=gen_guess, cap=cap, field=field, kind="quint",
+        generators=back.encode(gen_rows).tolist(), cap=cap, field=field, kind="quint",
     )
-    gen_idx = g.index_of_rows(gen_rows)
-    if g.generators != [int(t) for t in gen_idx]:
-        raise GroupError("quintuple universe is not laid out by element code")
     zrows = g.rows[g.center().members]
     if not (g.center().order == q * q and np.all(zrows[:, :3] == 0)):
         raise GroupError("quintuple center is not the last two coordinate axes")
@@ -384,7 +385,7 @@ def quintuple_generator_indices(g: FiniteGroup) -> dict:
 
 
 def build_h_matrix(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = None) -> FiniteGroup:
-    """The patterned 5x5 group of order q^6, closed from 2m+2 generators."""
+    """The patterned 5x5 group of order q^6, generated by 2m+2 elements."""
     q = field.q
     if q**6 > cap:
         raise CapExceeded(f"hmat order {q**6} exceeds cap {cap}")
@@ -399,11 +400,12 @@ def build_h_matrix(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = 
         gens.append(patterned_row(ops, 0, apow[i], 0, 0, 0, 0))
     gens.append(patterned_row(ops, 0, 0, 1, 0, 0, 0))
     gens.append(patterned_row(ops, 0, 0, 0, 0, 0, 1))
-    g = FiniteGroup.from_closure(
+    chart = dict(zip(H_CHART, _chart_rows(q, 6).T))
+    g = FiniteGroup(
         name or f"hmat:p={field.p},m={field.m}", back,
-        np.array(gens, dtype=np.int16), cap=cap, field=field, kind="hmat",
+        patterned_row(ops, *(chart[t] for t in "abcdef")),
+        generators=back.encode(np.array(gens)).tolist(), cap=cap, field=field, kind="hmat",
     )
-    _require_order(g.name, g.order, q**6)
     z = g.center()
     zrows = g.rows[z.members]
     free = [H_SLOTS[t] for t in ("a", "b", "c", "d", "e")]
@@ -420,7 +422,8 @@ def build_h_mod_center(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | Non
         raise GroupError("patterned group center differs from the last central term")
     g = hm.quotient(z, name=name or f"hmod:p={field.p},m={field.m}")
     g.kind = "hmod"
-    _require_order(g.name, g.order, field.q**5)
+    if g.order != field.q**5:
+        raise GroupError(f"{g.name}: expected order {field.q**5}, built {g.order}")
     leader_rows = hm.rows[g.backend.leaders]
     if np.any(leader_rows[:, H_SLOTS["f"]]):
         raise GroupError("a coset leader carries a nonzero corner entry")

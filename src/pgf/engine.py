@@ -30,10 +30,16 @@ Element enumeration is refused beyond a hard cap (default 10**6).
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
 rows that hold another group's element indices (quotients, products).
-There is one loop that picks elements by span, FiniteGroup.basis: default
-generators, the generators of N in a quotient, the bases of the structure
-checks and the search generators of the isoclinism search all come from it,
-and closure_members is the only closure it calls.
+Given generators without assume_generates, it proves with closure_members
+that they span the universe; on a dense chart each product is compared
+with a stored row, so the stored rows are also proved closed.
+
+There is one closure, Dimino's (_Span), grown by whole cosets: about n
+products plus one per coset representative and generator, not the n * k
+of a breadth-first closure.  There is one loop that picks elements by
+span, FiniteGroup.basis: default generators, the generators of N in a
+quotient, the bases of the structure checks and the search generators of
+the isoclinism search all come from it, each pick growing its one span.
 
 Sets of element indices are deduplicated by sorted_unique (a sort and an
 adjacent compare, skipped for strictly increasing input), never by a plain
@@ -257,55 +263,6 @@ class FiniteGroup:
         if not assume_generates and len(self.closure_members(self.generators)) != n:
             raise GroupError("declared generators do not generate the group")
 
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_closure(
-        cls,
-        name: str,
-        backend: Backend,
-        generator_rows: np.ndarray,
-        cap: int = DEFAULT_CAP,
-        **kw,
-    ) -> "FiniteGroup":
-        """Breadth-first closure of generator rows under multiplication.
-
-        Each wave multiplies the frontier by every generator.  Every
-        product passes check_rows, so a closure that completes proves the
-        backend's row invariant closed under multiplication; a generator's
-        products whose codes are already known are then dropped before the
-        survivors of all generators are merged, so a wave holds its new
-        elements rather than all its products.  The rows are sorted by
-        code once, when the group is built.
-        """
-        gen_rows = np.ascontiguousarray(generator_rows, dtype=backend.identity_row().dtype)
-        backend.check_rows(gen_rows)
-        rows = np.vstack([backend.identity_row()[None, :], gen_rows])
-        codes, first = np.unique(backend.encode(rows), return_index=True)
-        frontier = rows[first]
-        blocks = [frontier]
-        while len(frontier):
-            fresh_rows, fresh_codes = [], []
-            for g in gen_rows:
-                prod = backend.mul_rows(frontier, np.broadcast_to(g, frontier.shape))
-                backend.check_rows(prod)
-                pcodes = backend.encode(prod)
-                pos = np.minimum(np.searchsorted(codes, pcodes), len(codes) - 1)
-                new = codes[pos] != pcodes
-                fresh_rows.append(prod[new])
-                fresh_codes.append(pcodes[new])
-            fcodes, ffirst = np.unique(np.concatenate(fresh_codes), return_index=True)
-            if not len(fcodes):
-                break
-            frontier = np.vstack(fresh_rows)[ffirst]
-            blocks.append(frontier)
-            codes = np.insert(codes, np.searchsorted(codes, fcodes), fcodes)
-            if len(codes) > cap:
-                raise CapExceeded(f"closure exceeded cap {cap}")
-        gen_idx = np.searchsorted(codes, backend.encode(gen_rows))
-        return cls(name, backend, np.vstack(blocks), generators=gen_idx.tolist(), cap=cap,
-                   assume_generates=True, **kw)
-
     # -- primitive operations ---------------------------------------------
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -464,19 +421,9 @@ class FiniteGroup:
         return Subgroup(self, np.arange(self.order), check=False)
 
     def closure_members(self, gens) -> np.ndarray:
-        """Index BFS: members of the subgroup generated by gens."""
-        gens = sorted_unique(_as_index_array(gens))
-        members = sorted_unique(np.concatenate([[self.identity], gens]))
-        frontier = members
-        while len(frontier):
-            prods = sorted_unique(self.mul_many(frontier[:, None], gens[None, :]))
-            pos = np.minimum(np.searchsorted(members, prods), len(members) - 1)
-            fresh = prods[members[pos] != prods]
-            if not len(fresh):
-                break
-            members = sorted_unique(np.concatenate([members, fresh]))
-            frontier = fresh
-        return members
+        """Members of the subgroup generated by gens, as a sorted index array
+        (Dimino's closure, see _Span)."""
+        return np.flatnonzero(_Span(self, gens).known)
 
     def closure(self, gens) -> Subgroup:
         return Subgroup(self, self.closure_members(gens), check=False)
@@ -489,39 +436,36 @@ class FiniteGroup:
         picks together with floor generate <members, floor>.  On a p-group
         with floor the Frattini subgroup, the picks are a minimal generating
         set: d = log_p |G : Phi(G)| of them (Burnside's basis theorem).
+        Each pick grows the one span by its new cosets.
         """
         members = np.arange(self.order) if members is None else sorted_unique(_as_index_array(members))
-        base = [] if floor is None else self.basis(floor)
-        known = np.zeros(self.order, dtype=bool)
-        known[self.closure_members(base)] = True
+        span = _Span(self, [] if floor is None else self.basis(floor))
         picks: list[int] = []
-        outside = members[~known[members]]
+        outside = members[~span.known[members]]
         while len(outside):
             picks.append(int(outside[0]))
-            known[self.closure_members(base + picks)] = True
-            outside = outside[~known[outside]]
+            span.add(picks[-1])
+            outside = outside[~span.known[outside]]
         return picks
 
     def normal_closure_members(self, members) -> np.ndarray:
         """Smallest normal subgroup containing members, as a sorted index array.
 
-        Grows a generating set: whenever a conjugate of a current generator
-        falls outside the closure so far, it joins the generating set.  At the
-        fixed point every conjugate of every generator lies in the subgroup,
-        which therefore is normal (conjugation by the group's generators
-        reaches all conjugations).
+        Grows one span: whenever a conjugate of one of its generators falls
+        outside it, the conjugate joins it.  At the fixed point every
+        conjugate of every generator lies in the subgroup, which therefore is
+        normal (conjugation by the group's generators reaches all
+        conjugations).
         """
-        sub_gens = sorted_unique(_as_index_array(members))
-        cur = self.closure_members(sub_gens)
+        span = _Span(self, members)
         while True:
-            conj = [self.conjugate_many(sub_gens, g) for g in self.generators]
-            cand = sorted_unique(np.concatenate(conj))
-            pos = np.minimum(np.searchsorted(cur, cand), len(cur) - 1)
-            fresh = cand[cur[pos] != cand]
+            used = np.asarray(span.used, dtype=np.int64)
+            conj = np.concatenate([self.conjugate_many(used, g) for g in self.generators])
+            fresh = sorted_unique(conj[~span.known[conj]])
             if not len(fresh):
-                return cur
-            sub_gens = sorted_unique(np.concatenate([sub_gens, fresh]))
-            cur = self.closure_members(sub_gens)
+                return np.flatnonzero(span.known)
+            for s in fresh.tolist():
+                span.add(s)
 
     def center(self) -> Subgroup:
         if self._center is None:
@@ -864,6 +808,52 @@ def _flood_min(moves, n: int) -> np.ndarray:
         labels = labels[labels]  # path compression
         if np.array_equal(labels, before):
             return labels
+
+
+class _Span:
+    """H = <used>, grown one generator at a time by whole right cosets
+    (Dimino; Butler, Fundamental Algorithms for Permutation Groups, 1991).
+
+    known marks H's members; members lists them coset by coset.  add(s)
+    makes H <H, s>: the first new coset is H*s, and each new coset H*r
+    offers candidates r*t, t in used, whose unknown ones represent the next
+    cosets.  A wave computes its cosets H*r and their candidates in one
+    mul_many call, sliced at CHUNK_PRODUCTS; while H is {e}, H*r = {r}
+    costs no product.  Cosets of one wave with the same least member are
+    one coset, kept once.  The result is closed under right multiplication
+    by every generator (each r*t lies in a known coset), so it is <used>.
+    """
+
+    def __init__(self, group: FiniteGroup, gens):
+        self.group = group
+        self.known = np.zeros(group.order, dtype=bool)
+        self.known[group.identity] = True
+        self.members = np.array([group.identity], dtype=np.int64)
+        self.used: list[int] = []
+        for s in _as_index_array(gens).ravel().tolist():
+            self.add(s)
+
+    def add(self, s: int) -> None:
+        if self.known[s]:
+            return
+        self.used.append(s)
+        g, h, used = self.group, self.members, np.asarray(self.used, dtype=np.int64)
+        blocks = [h]
+        reps = np.array([s], dtype=np.int64)
+        while len(reps):
+            width = len(h) if len(h) > 1 else 0  # a coset of {e} is its representative
+            left = np.concatenate([np.tile(h[:width], len(reps)), np.repeat(reps, len(used))])
+            right = np.concatenate([np.repeat(reps, width), np.tile(used, len(reps))])
+            prods = np.concatenate([g.mul_many(left[a:a + CHUNK_PRODUCTS], right[a:a + CHUNK_PRODUCTS])
+                                    for a in range(0, len(left), CHUNK_PRODUCTS)])
+            cosets = prods[:width * len(reps)].reshape(len(reps), width) if width else reps[:, None]
+            first = np.unique(cosets.min(axis=1), return_index=True)[1]
+            cosets = cosets[first]
+            self.known[cosets] = True
+            blocks.append(cosets.ravel())
+            cand = prods[width * len(reps):].reshape(len(reps), len(used))[first].ravel()
+            reps = sorted_unique(cand[~self.known[cand]])
+        self.members = np.concatenate(blocks)
 
 
 def _commute_pairwise(g: FiniteGroup, elems) -> bool:

@@ -1,16 +1,59 @@
 """Group utilities that only the tests use, built on the engine's public API.
 
-relabel renames the elements of a group by a permutation (through
-RelabeledBackend, on the one FiniteGroup constructor), breadth and
-breadth_set measure centralizer indices, and label gives an element's
-canonical byte encoding.
+from_closure builds a group as the breadth-first closure of generator rows,
+an oracle for the builders that enumerate a full coordinate chart; relabel
+renames the elements of a group by a permutation (through RelabeledBackend,
+on the one FiniteGroup constructor), breadth and breadth_set measure
+centralizer indices, label gives an element's canonical byte encoding, and
+cayley_table tabulates every product without mul_many.
 """
 
 import math
 
 import numpy as np
 
-from pgf.engine import Backend, FiniteGroup, GroupError, Subgroup
+from pgf.engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError, Subgroup
+
+
+def from_closure(name: str, backend: Backend, generator_rows: np.ndarray,
+                 cap: int = DEFAULT_CAP, **kw) -> FiniteGroup:
+    """Breadth-first closure of generator rows under multiplication.
+
+    Each wave multiplies the frontier by every generator.  Every product
+    passes check_rows, so a closure that completes proves the backend's row
+    invariant closed under multiplication; a generator's products whose
+    codes are already known are then dropped before the survivors of all
+    generators are merged, so a wave holds its new elements rather than all
+    its products.  The rows are sorted by code once, when the group is
+    built.  No engine closure runs: the generators are taken as given.
+    """
+    gen_rows = np.ascontiguousarray(generator_rows, dtype=backend.identity_row().dtype)
+    backend.check_rows(gen_rows)
+    rows = np.vstack([backend.identity_row()[None, :], gen_rows])
+    codes, first = np.unique(backend.encode(rows), return_index=True)
+    frontier = rows[first]
+    blocks = [frontier]
+    while len(frontier):
+        fresh_rows, fresh_codes = [], []
+        for g in gen_rows:
+            prod = backend.mul_rows(frontier, np.broadcast_to(g, frontier.shape))
+            backend.check_rows(prod)
+            pcodes = backend.encode(prod)
+            pos = np.minimum(np.searchsorted(codes, pcodes), len(codes) - 1)
+            new = codes[pos] != pcodes
+            fresh_rows.append(prod[new])
+            fresh_codes.append(pcodes[new])
+        fcodes, ffirst = np.unique(np.concatenate(fresh_codes), return_index=True)
+        if not len(fcodes):
+            break
+        frontier = np.vstack(fresh_rows)[ffirst]
+        blocks.append(frontier)
+        codes = np.insert(codes, np.searchsorted(codes, fcodes), fcodes)
+        if len(codes) > cap:
+            raise CapExceeded(f"closure exceeded cap {cap}")
+    gen_idx = np.searchsorted(codes, backend.encode(gen_rows))
+    return FiniteGroup(name, backend, np.vstack(blocks), generators=gen_idx.tolist(), cap=cap,
+                       assume_generates=True, **kw)
 
 
 class RelabeledBackend(Backend):
@@ -80,3 +123,14 @@ def breadth_set(g: FiniteGroup, a: Subgroup) -> np.ndarray:
 def label(g: FiniteGroup, i: int) -> bytes:
     """Canonical element encoding (the coordinate row's bytes)."""
     return g.rows[i].tobytes()
+
+
+def cayley_table(g: FiniteGroup) -> np.ndarray:
+    """The full Cayley table, table[i, j] = i * j.
+
+    It comes straight from the backend's row products and a binary search
+    of the sorted codes, bypassing mul_many and its memo table."""
+    n = g.order
+    rows = np.ascontiguousarray(g.rows)
+    prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
+    return np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)

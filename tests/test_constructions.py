@@ -33,8 +33,11 @@ from pgf.constructions import (
     u3_named_elements,
     verify_quintuple_identification,
 )
+import pgf.constructions
 from pgf.engine import CapExceeded, FiniteGroup, GroupError
 from pgf.fields import FieldError, FieldOps, ff_add, ff_mul, ff_sub, find_irreducible
+
+from helpers import from_closure
 
 F31 = find_irreducible(3, 1)
 F51 = find_irreducible(5, 1)
@@ -282,7 +285,39 @@ def test_closure_proof_checks_products_it_already_knows():
     gens = np.array([patterned_row(back.ops, 1, 0, 0, 0, 0, 0),
                      patterned_row(back.ops, 0, 1, 0, 0, 0, 0)])
     with pytest.raises(GroupError, match="tied"):
-        FiniteGroup.from_closure("untied", back, gens)
+        from_closure("untied", back, gens)
+
+
+def test_chart_build_proves_its_products_are_pattern_rows(monkeypatch):
+    # the chart build's only proof is the constructor's closure over the
+    # generators: each product must equal a stored pattern row, and the
+    # untied identity does not
+    monkeypatch.setattr(pgf.constructions, "PatternedU5Backend", UntyingU5Backend)
+
+    def built(self):
+        raise AssertionError("the constructor accepted an untied product")
+
+    monkeypatch.setattr(FiniteGroup, "center", built)
+    with pytest.raises(GroupError, match="closure violation"):
+        build_h_matrix(F31)
+
+
+CHART_CASES = [("u3", F31), ("u3", F71), ("u3", F32), ("hmat", F31), ("hmat", F51), ("hmat", F32)]
+
+
+@pytest.mark.parametrize("kind,field", CHART_CASES,
+                         ids=[f"{k}:q={f.q}" for k, f in CHART_CASES])
+def test_chart_build_matches_breadth_first_closure(kind, field):
+    g = {"u3": build_u3, "hmat": build_h_matrix}[kind](field)
+    closed = from_closure(g.name, g.backend, g.rows[g.generators])
+    assert np.array_equal(g.rows, closed.rows)
+    assert np.array_equal(g.codes, closed.codes)
+    assert g.generators == closed.generators
+
+
+def test_chart_generator_indices_are_chart_codes():
+    assert build_h_matrix(F32).generators == [9, 27, 59049, 177147, 6561, 81]
+    assert build_u3(F32).generators == [81, 243, 1, 3]
 
 
 def test_hmat_two_generators_suffice():

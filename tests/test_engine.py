@@ -24,7 +24,7 @@ from pgf.engine import (
     sorted_unique,
 )
 
-from helpers import breadth, breadth_set, label, relabel
+from helpers import breadth, breadth_set, cayley_table, from_closure, label, relabel
 
 
 class CyclicRowBackend(Backend):
@@ -88,19 +88,19 @@ class Sym3Backend(Backend):
 def cyclic(n):
     back = CyclicRowBackend(n)
     gen = np.array([[1]], dtype=np.int16)
-    return FiniteGroup.from_closure(f"C{n}", back, gen)
+    return from_closure(f"C{n}", back, gen)
 
 
 def heis(p):
     back = Heis3Backend(p)
     gens = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int16)
-    return FiniteGroup.from_closure(f"H{p}", back, gens)
+    return from_closure(f"H{p}", back, gens)
 
 
 def sym3():
     back = Sym3Backend()
     gens = np.array([[1, 0, 2], [1, 2, 0]], dtype=np.int16)
-    return FiniteGroup.from_closure("S3", back, gens)
+    return from_closure("S3", back, gens)
 
 
 # -- basics ----------------------------------------------------------------
@@ -366,17 +366,6 @@ def test_quotient_cost_is_n_times_rank():
     assert n * rank + normality + spanning < n * k  # the cost of x*k for every k
 
 
-def cayley_table(g):
-    """The full Cayley table, table[i, j] = i * j.
-
-    It comes straight from the backend's row products and a binary search
-    of the sorted codes, bypassing mul_many and its memo table."""
-    n = g.order
-    rows = np.ascontiguousarray(g.rows)
-    prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
-    return np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
-
-
 def brute_force_center(g):
     """Elements whose row of the full Cayley table equals their column,
     bypassing the generator shortcut of center()."""
@@ -439,23 +428,103 @@ def oracle_basis(table, identity, members, floor) -> list:
     return picks
 
 
-BASIS_CASES = ("heis(3)", "heis(5)", "hmod:p=3,m=1", "hmod:p=3,m=1/Z")
+SPAN_CASES = ("heis(3)", "heis(5)", "sym3", "cyclic(12)", "hmod:p=3,m=1", "hmod:p=3,m=1/Z")
 
 
 @functools.lru_cache(maxsize=None)
-def basis_cases() -> dict:
+def span_cases() -> dict:
     from pgf.constructions import build_group
 
     g = build_group("hmod:p=3,m=1")
-    groups = {"heis(3)": heis(3), "heis(5)": heis(5), "hmod:p=3,m=1": g,
-              "hmod:p=3,m=1/Z": g.quotient(g.center())}
+    groups = {"heis(3)": heis(3), "heis(5)": heis(5), "sym3": sym3(), "cyclic(12)": cyclic(12),
+              "hmod:p=3,m=1": g, "hmod:p=3,m=1/Z": g.quotient(g.center())}
     return {name: (h, cayley_table(h)) for name, h in groups.items()}
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
+def test_closure_matches_brute_force(data):
+    g, table = span_cases()[data.draw(st.sampled_from(SPAN_CASES))]
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=5))
+    if gens and data.draw(st.booleans()):  # a redundant generator: a product of two others
+        gens.append(int(table[data.draw(st.sampled_from(gens)), data.draw(st.sampled_from(gens))]))
+    if gens and data.draw(st.booleans()):
+        gens.append(data.draw(st.sampled_from(gens)))
+    if data.draw(st.booleans()):
+        gens.append(g.identity)
+    gens = data.draw(st.permutations(gens))
+    want = np.flatnonzero(oracle_span(table, g.identity, gens))
+    assert np.array_equal(g.closure_members(gens), want)
+    # the span lists each member once: a coset met twice in a wave is kept once
+    assert np.array_equal(np.sort(pgf.engine._Span(g, gens).members), want)
+
+
+def oracle_normal_closure(table, identity, elems) -> np.ndarray:
+    """<elems>^G: the span of every conjugate g^-1 x g of the span's members
+    x, from the table, until it stops growing."""
+    n = len(table)
+    inv = np.argmax(table == identity, axis=1)
+    span = oracle_span(table, identity, elems)
+    while True:
+        members = np.flatnonzero(span)
+        conj = table[table[inv[:, None], members[None, :]], np.arange(n)[:, None]]
+        grown = oracle_span(table, identity, np.unique(conj))
+        if np.array_equal(grown, span):
+            return members
+        span = grown
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_normal_closure_matches_brute_force(data):
+    g, table = span_cases()[data.draw(st.sampled_from(SPAN_CASES))]
+    elems = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    assert np.array_equal(g.normal_closure_members(elems),
+                          oracle_normal_closure(table, g.identity, elems))
+
+
+@pytest.mark.parametrize("label", SPAN_CASES)
+def test_closure_edge_cases(label):
+    g, table = span_cases()[label]
+    e = g.identity
+    everything = np.arange(g.order)
+    assert g.closure_members([]).tolist() == [e]
+    assert g.closure_members([e, e]).tolist() == [e]
+    assert np.array_equal(g.closure_members(g.generators * 2 + [e]), everything)
+    assert np.array_equal(g.closure_members(everything[::-1]), everything)
+    x = int(everything[-1])
+    assert np.array_equal(g.closure_members([x, x, table[x, x], e]),
+                          np.flatnonzero(oracle_span(table, e, [x])))
+
+
+def test_closure_cost_is_n_plus_cosets_times_rank():
+    from pgf.constructions import build_group
+
+    g = build_group("hmat:p=3,m=1")
+    gens, n, k = g.generators, g.order, len(g.generators)
+    table = cayley_table(g)
+    # each generator adds [<g_1..g_i> : <g_1..g_i-1>] - 1 coset representatives
+    orders = [int(oracle_span(table, g.identity, gens[:i]).sum()) for i in range(k + 1)]
+    reps = sum(b // a - 1 for a, b in zip(orders, orders[1:]))
+    rows = []
+    plain = g.mul_many
+
+    def counting(i, j):
+        out = plain(i, j)
+        rows.append(np.size(out))
+        return out
+
+    g.mul_many = counting
+    assert len(g.closure_members(gens)) == n
+    # one product per element of a new coset and one per candidate, against
+    # the n * k of multiplying every element by every generator
+    assert sum(rows) <= n + reps * k < n * k
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
 def test_basis_matches_greedy_oracle(data):
-    g, table = basis_cases()[data.draw(st.sampled_from(BASIS_CASES))]
+    g, table = span_cases()[data.draw(st.sampled_from(SPAN_CASES))]
     index = st.integers(0, g.order - 1)
     members = data.draw(st.none() | st.lists(index, max_size=12))
     floor = data.draw(st.none() | st.lists(index, max_size=4))
@@ -552,8 +621,7 @@ def test_duplicate_universe_rejected():
 
 def test_cap_enforcement():
     with pytest.raises(CapExceeded):
-        FiniteGroup.from_closure("C12", CyclicRowBackend(12),
-                                 np.array([[1]], dtype=np.int16), cap=10)
+        from_closure("C12", CyclicRowBackend(12), np.array([[1]], dtype=np.int16), cap=10)
     rows = np.arange(12, dtype=np.int16)[:, None]
     with pytest.raises(CapExceeded):
         FiniteGroup("C12", CyclicRowBackend(12), rows, cap=10)
@@ -676,8 +744,8 @@ class SkewedCommutatorGroup(FiniteGroup):
 
 
 def test_class3_identities_first_counterexample_ignores_chunk():
-    gens = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int16)
-    g = SkewedCommutatorGroup.from_closure("H3", Heis3Backend(3), gens)
+    h = heis(3)
+    g = SkewedCommutatorGroup("H3", Heis3Backend(3), h.rows, generators=h.generators)
     # the series and the center are computed from the true commutators
     assert g.nilpotency_class() == 2
     assert g.center().order == 3
@@ -786,8 +854,9 @@ LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.Genera
 
 
 def span_breaches(source: str, filename: str = "<source>") -> list:
-    """__new__ calls, and loops calling closure_members anywhere but in
-    FiniteGroup.basis and FiniteGroup.normal_closure_members."""
+    """__new__ calls, any from_closure (defined or called: the engine's one
+    closure is closure_members), and loops calling closure_members anywhere
+    but in FiniteGroup.basis and FiniteGroup.normal_closure_members."""
     tree = ast.parse(source, filename)
     homes = {id(inner)
              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "FiniteGroup"
@@ -797,6 +866,9 @@ def span_breaches(source: str, filename: str = "<source>") -> list:
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "__new__":
             found.append(f"{filename}:{node.lineno} __new__")
+        elif "from_closure" in (getattr(node, "name", None), getattr(node, "attr", None),
+                                getattr(node, "id", None)):
+            found.append(f"{filename}:{node.lineno} from_closure")
         elif isinstance(node, LOOPS) and id(node) not in homes and any(
                 isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                 and call.func.attr == "closure_members" for call in ast.walk(node)):
@@ -824,6 +896,21 @@ while g:
     assert span_breaches(source) == ["<source>:7 closure_members in a loop",
                                      "<source>:11 closure_members in a loop",
                                      "<source>:13 __new__"]
+
+
+def test_span_guard_flags_from_closure():
+    source = '''class FiniteGroup:
+    @classmethod
+    def from_closure(cls, rows):
+        return cls(rows)
+
+def from_closure(rows):
+    return FiniteGroup.from_closure(rows)
+
+g = from_closure([])
+'''
+    assert sorted(span_breaches(source)) == ["<source>:3 from_closure", "<source>:6 from_closure",
+                                             "<source>:7 from_closure", "<source>:9 from_closure"]
 
 
 def test_one_constructor_and_one_span_loop():
