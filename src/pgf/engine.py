@@ -24,7 +24,8 @@ group by every member of N.
 
 Products are memoized in a 2-D n x n int32 array, read as table[i, j],
 when the order is at most TABLE_CAP; larger groups multiply on demand
-from the coordinate rows.
+from the coordinate rows.  The class-3 identity suite, exhaustive up to
+order 300, walks its triples one a-plane at a time over n x n tables.
 Element enumeration is refused beyond a hard cap (default 10**6).
 
 There is one constructor, __init__, for every universe.  It takes the row
@@ -57,7 +58,6 @@ import numpy as np
 
 DEFAULT_CAP = 10**6
 TABLE_CAP = 4096
-ASSOC_EXHAUSTIVE_LIMIT = 1000
 IDENTITY_EXHAUSTIVE_LIMIT = 300
 CHUNK_PRODUCTS = 2**16  # rows or products per side in one pass of a chunked scan
 
@@ -634,26 +634,28 @@ class FiniteGroup:
     # -- identity suite ----------------------------------------------------
 
     def check_class3_identities(self, samples: int = 10**4, seed: int = 0,
-                                exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT,
-                                chunk: int = 2**17) -> dict:
+                                exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT) -> dict:
         """Commutator identities valid in nilpotency class <= 3 (odd p).
 
         Exhaustive over all element tuples when the order n is at most
-        exhaustive_limit, otherwise over seeded random tuples.  Returns a
-        report dict per identity: {passed, checked, counterexample}.
+        exhaustive_limit, otherwise over seeded random tuples, which go
+        through mul_many and commutator_many.  Returns a report dict per
+        identity: {passed, checked, counterexample}, the counterexample
+        being the first failing tuple in order.
 
-        The exhaustive path first tabulates the product x*y and the
-        commutator [x, y] of all n**2 pairs, through mul_many and
-        commutator_many, so every product is computed (and its row checked
-        against the universe) once.  Each product or commutator of a tuple
-        is then a read of the flat table at x*n + y.  The sampled path
-        calls mul_many and commutator_many on the tuples themselves.
-
-        The n**3 triples and n**2 pairs are walked in flat order, chunk
-        tuples at a time, so memory stays bounded.  The report does not
-        depend on chunk: the exponents of power_commutator_collapse cycle
-        on the global flat index, and each counterexample is the first
-        failing tuple in flat order.
+        The exhaustive path tabulates M[x, y] = x*y and C[x, y] = [x, y],
+        n x n int32, through mul_many and commutator_many, so every product
+        is computed (and its row checked against the universe) once.  It
+        walks the triples one a-plane at a time: each plane checks every
+        (b, c) as n x n gathers from M and C, most of them reads of the
+        plane T[b, c] = [[a, b], c] = C[C[a]] (T.T is [[a, c], b]).  Planes
+        run in increasing a, so the first failure of the first failing plane
+        is the first failing triple in flat order a*n**2 + b*n + c.  The
+        exponents (i, j, k) of power_commutator_collapse are the base-p
+        digits of that flat index mod p**3, which depend on a only through
+        the residue a*n**2 mod p**3 (0 once n >= p**2): their tables are
+        built once per residue.  The n**2 pairs are read from M and C in
+        one pass.
         """
         if self.nilpotency_class() > 3:
             raise GroupError("identity suite requires nilpotency class <= 3")
@@ -664,8 +666,6 @@ class FiniteGroup:
         e = self.identity
         zmask = self.center().membership_mask()
         pow_t = np.stack([self.power_many(np.arange(n, dtype=np.int64), s) for s in range(p)])
-        combos = np.array([(i, j, k) for i in range(p) for j in range(p) for k in range(p)],
-                          dtype=np.int64)
         names = (
             "central_pair_triple_vanishes",
             "central_commutator_swap",
@@ -674,122 +674,82 @@ class FiniteGroup:
             "power_commutator_collapse",
         )
         report = {name: {"passed": True, "checked": 0, "counterexample": None} for name in names}
-        exhaustive = n <= exhaustive_limit
-        if exhaustive:
-            x, y = np.divmod(np.arange(n * n, dtype=np.int64), n)
-            mul_table = self.mul_many(x, y)
-            comm_table = self.commutator_many(x, y)
 
-            def mul(a, b):
-                return mul_table.take(a * n + b)
-
-            def comm(a, b):
-                return comm_table.take(a * n + b)
-        else:
-            mul, comm = self.mul_many, self.commutator_many
-
-        def record(name, ok_mask, tuples):
+        def record(name, checked, bad, tuples):
             entry = report[name]
-            entry["checked"] += int(len(ok_mask))
-            bad = np.nonzero(~ok_mask)[0]
-            if len(bad):
+            entry["checked"] += int(checked)
+            if entry["passed"] and bad.any():
+                k = int(bad.argmax())
                 entry["passed"] = False
-                if entry["counterexample"] is None:
-                    k = int(bad[0])
-                    entry["counterexample"] = tuple(self.describe(int(t[k])) for t in tuples)
+                entry["counterexample"] = tuple(self.describe(int(t[k])) for t in tuples)
 
-        def run_triples(a, b, c, offset):
+        if n > exhaustive_limit:
+            mul, comm = self.mul_many, self.commutator_many
+            rng = np.random.default_rng(seed)
+            a, b, c = (rng.integers(0, n, samples) for _ in range(3))
             # triple commutator vanishes when both inner commutators are central
-            cac = comm(a, c)
-            cbc = comm(b, c)
-            cab = comm(a, b)
+            cac, cbc, cab = comm(a, c), comm(b, c), comm(a, b)
             cond = zmask[cac] & zmask[cbc]
             triple = comm(cab[cond], c[cond])
-            record(names[0], triple == e, (a[cond], b[cond], c[cond]))
-
+            record(names[0], len(triple), triple != e, (a[cond], b[cond], c[cond]))
             # central [a,b] makes [[a,t],b] and [[b,t],a] agree
             cond = zmask[cab]
             aa, bb, tt = a[cond], b[cond], c[cond]
-            lhs = comm(comm(aa, tt), bb)
-            rhs = comm(comm(bb, tt), aa)
-            record(names[1], lhs == rhs, (aa, bb, tt))
-
+            ok = comm(comm(aa, tt), bb) == comm(comm(bb, tt), aa)
+            record(names[1], len(ok), ~ok, (aa, bb, tt))
             # [ab,c] = [a,c][b,c][[a,c],b] and [a,bc] = [a,b][a,c][[a,b],c]
-            lhs = comm(mul(a, b), c)
-            rhs = mul(mul(cac, cbc), comm(cac, b))
-            ok = lhs == rhs
-            lhs = comm(a, mul(b, c))
-            rhs = mul(mul(cab, cac), comm(cab, c))
-            record(names[2], ok & (lhs == rhs), (a, b, c))
-
-            # [a^i,b^j,c^k] = [[a,b],c]^(ijk), exponents cycling through GF(p)^3
-            t = (offset + np.arange(len(a), dtype=np.int64)) % len(combos)
-            iexp, jexp, kexp = combos[t, 0], combos[t, 1], combos[t, 2]
-            lhs = comm(comm(pow_t[iexp, a], pow_t[jexp, b]), pow_t[kexp, c])
-            base = comm(cab, c)
-            rhs = pow_t[(iexp * jexp * kexp) % p, base]
-            record(names[4], lhs == rhs, (a, b, c))
-
-        def run_pairs(a, b):
-            # [a^s,b] = [a,b]^s [[a,b],a]^(s(s-1)/2), and dually in the second slot
-            ok = np.ones(len(a), dtype=bool)
-            cab = comm(a, b)
-            for s in range(p):
-                binom = (s * (s - 1) // 2) % p
-                corr = pow_t[binom, comm(cab, a)]
-                ok &= comm(pow_t[s, a], b) == mul(pow_t[s, cab], corr)
-                corr = pow_t[binom, comm(cab, b)]
-                ok &= comm(a, pow_t[s, b]) == mul(pow_t[s, cab], corr)
-            record(names[3], ok, (a, b))
-
-        if exhaustive:
-            total = n * n * n
-            for start in range(0, total, chunk):
-                flat = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                ab, c = np.divmod(flat, n)
-                a, b = np.divmod(ab, n)
-                run_triples(a, b, c, start)
-            total2 = n * n
-            for start in range(0, total2, chunk):
-                flat = np.arange(start, min(start + chunk, total2), dtype=np.int64)
-                a, b = np.divmod(flat, n)
-                run_pairs(a, b)
+            ok = comm(mul(a, b), c) == mul(mul(cac, cbc), comm(cac, b))
+            ok &= comm(a, mul(b, c)) == mul(mul(cab, cac), comm(cab, c))
+            record(names[2], samples, ~ok, (a, b, c))
+            # [a^i,b^j,c^k] = [[a,b],c]^(ijk), (i, j, k) cycling through GF(p)^3
+            t = np.arange(samples) % p**3
+            i, j, k = t // (p * p), t // p % p, t % p
+            ok = comm(comm(pow_t[i, a], pow_t[j, b]), pow_t[k, c]) == pow_t[i * j * k % p, comm(cab, c)]
+            record(names[4], samples, ~ok, (a, b, c))
+            a, b = rng.integers(0, n, samples), rng.integers(0, n, samples)
         else:
-            rng = np.random.default_rng(seed)
-            run_triples(rng.integers(0, n, samples), rng.integers(0, n, samples),
-                        rng.integers(0, n, samples), 0)
-            run_pairs(rng.integers(0, n, samples), rng.integers(0, n, samples))
+            b, c = np.divmod(np.arange(n * n, dtype=np.int64), n)  # a plane's (b, c), flat
+            M = self.mul_many(b, c).astype(np.int32).reshape(n, n)
+            C = self.commutator_many(b, c).astype(np.int32).reshape(n, n)
+            zC, CT, pw = zmask[C], np.ascontiguousarray(C.T), pow_t.astype(np.int32)
+            digits = {}
+            for a in range(n):
+                ca = C[a]
+                T = C[ca]
+                at = (np.full(n * n, a), b, c)
+                cond = zC[a] & zC
+                record(names[0], np.count_nonzero(cond), cond & (T != e), at)
+                cond = zmask[ca][:, None]
+                record(names[1], n * np.count_nonzero(cond), cond & (T.T != CT[a].take(C)), at)
+                ok = C[M[a]] == M.take(M.take(ca * n + C) * n + T.T)
+                ok &= ca.take(M) == M.take(M[ca][:, ca] * n + T)
+                record(names[2], n * n, ~ok, at)
+                r = a * n * n % p**3
+                if r not in digits:  # [a^i, b^j] is row i of C[pw[:, a]] at b^j
+                    t = (r + np.arange(n * n, dtype=np.int32).reshape(n, n)) % p**3
+                    i, j, k = t // (p * p), t // p % p, t % p
+                    digits[r] = (i * n + pw.take(j * n + b.reshape(n, n)),
+                                 pw.take(k * n + c.reshape(n, n)), i * j * k % p * n)
+                ij, kc, ijk = digits[r]
+                lhs = C.take(C[pw[:, a]].take(ij) * n + kc)
+                record(names[4], n * n, lhs != pw.take(ijk + T), at)
+            a, b = b, c  # the n**2 pairs
+
+            def mul(u, v):
+                return M.take(u * n + v)
+
+            def comm(u, v):
+                return C.take(u * n + v)
+
+        # [a^s,b] = [a,b]^s [[a,b],a]^(s(s-1)/2), and dually in the second slot
+        ok = np.ones(len(a), dtype=bool)
+        cab = comm(a, b)
+        for s in range(p):
+            binom = (s * (s - 1) // 2) % p
+            ok &= comm(pow_t[s, a], b) == mul(pow_t[s, cab], pow_t[binom, comm(cab, a)])
+            ok &= comm(a, pow_t[s, b]) == mul(pow_t[s, cab], pow_t[binom, comm(cab, b)])
+        record(names[3], len(a), ~ok, (a, b))
         return report
-
-    # -- axioms ------------------------------------------------------------
-
-    def verify_group_axioms(self, samples: int = 10**5, seed: int = 0) -> None:
-        """Identity/inverse laws exhaustively; associativity exhaustively up to
-        ASSOC_EXHAUSTIVE_LIMIT elements, by seeded sampling beyond."""
-        n = self.order
-        idx = np.arange(n, dtype=np.int64)
-        e = self.identity
-        if not bool(np.all(self.mul_many(idx, e) == idx)) or not bool(np.all(self.mul_many(e, idx) == idx)):
-            raise GroupError("identity law fails")
-        inv = self.inv_many(idx)
-        if not bool(np.all(self.mul_many(idx, inv) == e)) or not bool(np.all(self.mul_many(inv, idx) == e)):
-            raise GroupError("inverse law fails")
-        if n <= ASSOC_EXHAUSTIVE_LIMIT:
-            pairs_a = np.repeat(idx, n)
-            pairs_b = np.tile(idx, n)
-            ab = self.mul_many(pairs_a, pairs_b)
-            for c in range(n):
-                left = self.mul_many(ab, c)
-                right = self.mul_many(pairs_a, self.mul_many(pairs_b, c))
-                if not bool(np.all(left == right)):
-                    raise GroupError(f"associativity fails with c={c}")
-        else:
-            rng = np.random.default_rng(seed)
-            a = rng.integers(0, n, samples)
-            b = rng.integers(0, n, samples)
-            c = rng.integers(0, n, samples)
-            if not bool(np.all(self.mul_many(self.mul_many(a, b), c) == self.mul_many(a, self.mul_many(b, c)))):
-                raise GroupError("associativity fails on a sampled triple")
 
 
 def _is_dense(codes: np.ndarray) -> bool:

@@ -4,15 +4,26 @@ from_closure builds a group as the breadth-first closure of generator rows,
 an oracle for the builders that enumerate a full coordinate chart; relabel
 renames the elements of a group by a permutation (through RelabeledBackend,
 on the one FiniteGroup constructor), breadth and breadth_set measure
-centralizer indices, label gives an element's canonical byte encoding, and
-cayley_table tabulates every product without mul_many.
+centralizer indices, label gives an element's canonical byte encoding,
+cayley_table tabulates every product without mul_many, verify_group_axioms
+checks the group laws through mul_many, and class3_identity_oracle
+evaluates the class-3 identity suite tuple by tuple on the Cayley table.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from pgf.engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError, Subgroup
+from pgf.engine import (
+    DEFAULT_CAP,
+    IDENTITY_EXHAUSTIVE_LIMIT,
+    Backend,
+    CapExceeded,
+    FiniteGroup,
+    GroupError,
+    Subgroup,
+)
 
 
 def from_closure(name: str, backend: Backend, generator_rows: np.ndarray,
@@ -134,3 +145,107 @@ def cayley_table(g: FiniteGroup) -> np.ndarray:
     rows = np.ascontiguousarray(g.rows)
     prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
     return np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
+
+
+ASSOC_EXHAUSTIVE_LIMIT = 1000
+
+
+def verify_group_axioms(g: FiniteGroup, samples: int = 10**5, seed: int = 0) -> None:
+    """Identity/inverse laws exhaustively; associativity exhaustively up to
+    ASSOC_EXHAUSTIVE_LIMIT elements, by seeded sampling beyond."""
+    n = g.order
+    idx = np.arange(n, dtype=np.int64)
+    e = g.identity
+    if not bool(np.all(g.mul_many(idx, e) == idx)) or not bool(np.all(g.mul_many(e, idx) == idx)):
+        raise GroupError("identity law fails")
+    inv = g.inv_many(idx)
+    if not bool(np.all(g.mul_many(idx, inv) == e)) or not bool(np.all(g.mul_many(inv, idx) == e)):
+        raise GroupError("inverse law fails")
+    if n <= ASSOC_EXHAUSTIVE_LIMIT:
+        pairs_a = np.repeat(idx, n)
+        pairs_b = np.tile(idx, n)
+        ab = g.mul_many(pairs_a, pairs_b)
+        for c in range(n):
+            left = g.mul_many(ab, c)
+            right = g.mul_many(pairs_a, g.mul_many(pairs_b, c))
+            if not bool(np.all(left == right)):
+                raise GroupError(f"associativity fails with c={c}")
+    else:
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, n, samples)
+        b = rng.integers(0, n, samples)
+        c = rng.integers(0, n, samples)
+        if not bool(np.all(g.mul_many(g.mul_many(a, b), c) == g.mul_many(a, g.mul_many(b, c)))):
+            raise GroupError("associativity fails on a sampled triple")
+
+
+def class3_identity_oracle(g: FiniteGroup, samples: int = 10**4, seed: int = 0,
+                           exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT, skew=None) -> dict:
+    """The report of FiniteGroup.check_class3_identities, computed tuple by
+    tuple in plain Python from cayley_table(g).
+
+    Inverses, powers, commutators and the center come from the table alone.
+    skew = (u, v, w) makes [u, v] read w, as a group that misreports one
+    commutator would.  Tuples run in flat order when the order is at most
+    exhaustive_limit; otherwise they replay the engine's default_rng(seed)
+    draws (three arrays of triples, then two of pairs).  The exponents (i, j,
+    k) of the t-th triple are the base-p digits of t mod p**3.
+    """
+    table = cayley_table(g).tolist()
+    n, e = g.order, g.identity
+    p = g.prime if n > 1 else 3
+    inv = [row.index(e) for row in table]
+    comm = [[table[table[table[inv[x]][inv[y]]][x]][y] for y in range(n)] for x in range(n)]
+    if skew is not None:
+        comm[skew[0]][skew[1]] = skew[2]
+    central = [all(table[z][y] == table[y][z] for y in range(n)) for z in range(n)]
+
+    def power(x, s):
+        out = e
+        for _ in range(s):
+            out = table[out][x]
+        return out
+
+    def br(x, y):
+        return comm[x][y]
+
+    def mul(x, y):
+        return table[x][y]
+
+    names = ("central_pair_triple_vanishes", "central_commutator_swap", "product_expansion",
+             "power_expansion", "power_commutator_collapse")
+    report = {name: {"passed": True, "checked": 0, "counterexample": None} for name in names}
+
+    def record(name, ok, tup):
+        entry = report[name]
+        entry["checked"] += 1
+        if not ok and entry["passed"]:
+            entry["passed"] = False
+            entry["counterexample"] = tuple(g.describe(x) for x in tup)
+
+    if n <= exhaustive_limit:
+        triples = itertools.product(range(n), repeat=3)
+        pairs = itertools.product(range(n), repeat=2)
+    else:
+        rng = np.random.default_rng(seed)
+        draws = [rng.integers(0, n, samples).tolist() for _ in range(5)]
+        triples, pairs = zip(*draws[:3]), zip(*draws[3:])
+    for t, (a, b, c) in enumerate(triples):
+        if central[br(a, c)] and central[br(b, c)]:
+            record(names[0], br(br(a, b), c) == e, (a, b, c))
+        if central[br(a, b)]:
+            record(names[1], br(br(a, c), b) == br(br(b, c), a), (a, b, c))
+        ok = br(mul(a, b), c) == mul(mul(br(a, c), br(b, c)), br(br(a, c), b))
+        ok = ok and br(a, mul(b, c)) == mul(mul(br(a, b), br(a, c)), br(br(a, b), c))
+        record(names[2], ok, (a, b, c))
+        i, j, k = t % p**3 // (p * p), t % (p * p) // p, t % p
+        lhs = br(br(power(a, i), power(b, j)), power(c, k))
+        record(names[4], lhs == power(br(br(a, b), c), i * j * k % p), (a, b, c))
+    for a, b in pairs:
+        ok = True
+        for s in range(p):
+            binom = s * (s - 1) // 2 % p
+            ok = ok and br(power(a, s), b) == mul(power(br(a, b), s), power(br(br(a, b), a), binom))
+            ok = ok and br(a, power(b, s)) == mul(power(br(a, b), s), power(br(br(a, b), b), binom))
+        record(names[3], ok, (a, b))
+    return report

@@ -24,7 +24,16 @@ from pgf.engine import (
     sorted_unique,
 )
 
-from helpers import breadth, breadth_set, cayley_table, from_closure, label, relabel
+from helpers import (
+    breadth,
+    breadth_set,
+    cayley_table,
+    class3_identity_oracle,
+    from_closure,
+    label,
+    relabel,
+    verify_group_axioms,
+)
 
 
 class CyclicRowBackend(Backend):
@@ -109,7 +118,7 @@ def sym3():
 def test_cyclic_basics():
     g = cyclic(12)
     assert g.order == 12
-    g.verify_group_axioms()
+    verify_group_axioms(g)
     assert g.is_abelian()
     assert not g.is_prime_power()
     assert g.exponent() == 12
@@ -141,7 +150,7 @@ def test_power_matches_modular_arithmetic():
 def test_heisenberg_structure():
     g = heis(3)
     assert g.order == 27
-    g.verify_group_axioms()
+    verify_group_axioms(g)
     assert not g.is_abelian()
     assert g.nilpotency_class() == 2
     assert g.exponent() == 3
@@ -223,7 +232,7 @@ def test_breadth_set_rejects_nonabelian_and_nonnormal():
 def test_sym3_is_not_nilpotent():
     g = sym3()
     assert g.order == 6
-    g.verify_group_axioms()
+    verify_group_axioms(g)
     assert g.derived_subgroup().order == 3
     assert g.center().order == 1
     assert g.conjugate_type() == [1, 2, 3]
@@ -254,7 +263,7 @@ def test_quotient_heis_by_center():
     g = heis(3)
     q = g.quotient(g.center())
     assert q.order == 9
-    q.verify_group_axioms()
+    verify_group_axioms(q)
     assert q.is_abelian()
     assert q.exponent() == 3
     assert q.nilpotency_class() == 1
@@ -692,7 +701,7 @@ def test_relabel_preserves_invariants():
     rng = np.random.default_rng(11)
     perm = rng.permutation(g.order)
     h = relabel(g, perm)
-    h.verify_group_axioms()
+    verify_group_axioms(h)
     assert h.order == g.order
     assert h.nilpotency_class() == g.nilpotency_class()
     assert h.conjugate_type() == g.conjugate_type()
@@ -725,8 +734,7 @@ def test_class3_identities_exhaustive_on_heisenberg():
     }
     assert rep["product_expansion"]["checked"] == 27 ** 3
     assert rep["power_expansion"]["checked"] == 27 ** 2
-    for chunk in (7, 1000, 27 ** 3):
-        assert g.check_class3_identities(chunk=chunk) == rep
+    assert rep == class3_identity_oracle(g)
 
 
 class SkewedCommutatorGroup(FiniteGroup):
@@ -743,30 +751,130 @@ class SkewedCommutatorGroup(FiniteGroup):
         return out
 
 
-def test_class3_identities_first_counterexample_ignores_chunk():
-    h = heis(3)
-    g = SkewedCommutatorGroup("H3", Heis3Backend(3), h.rows, generators=h.generators)
-    # the series and the center are computed from the true commutators
+def skewed(g: FiniteGroup, u, v, w) -> SkewedCommutatorGroup:
+    """g with [u, v] misreported as w (elements given by their rows); its
+    series and center are computed first, from the true commutators."""
+    s = SkewedCommutatorGroup(g.name, g.backend, g.rows, generators=g.generators)
+    s.nilpotency_class()
+    s.center()
+    s.skew = tuple(int(s.index_of_rows(np.array([r], dtype=s.rows.dtype))[0]) for r in (u, v, w))
+    return s
+
+
+def test_class3_identities_first_counterexample_matches_oracle():
+    # z^2 is central, so [z^2, (1,2,2)] is the identity; report z^2 instead
+    g = skewed(heis(3), [0, 0, 2], [1, 2, 2], [0, 0, 2])
     assert g.nilpotency_class() == 2
     assert g.center().order == 3
-
-    def idx(row):
-        return int(g.index_of_rows(np.array([row], dtype=np.int16))[0])
-
-    # z^2 is central, so [z^2, (1,2,2)] is the identity; report z^2 instead
-    g.skew = (idx([0, 0, 2]), idx([1, 2, 2]), idx([0, 0, 2]))
     rep = g.check_class3_identities()
     assert not any(entry["passed"] for entry in rep.values())
     # the first failing triple in flat order, whose exponents (i, j, k)
     # come from its flat index
     assert rep["power_commutator_collapse"]["counterexample"] == ("(0,0,1)", "(2,1,0)", "(1,2,2)")
-    for chunk in (7, 1000, 27 ** 3):
-        assert g.check_class3_identities(chunk=chunk) == rep
+    assert rep == class3_identity_oracle(g, skew=g.skew)
+
+
+def u3_31():
+    from pgf.constructions import build_group
+    return build_group("u3:p=3,m=1")
+
+
+def u3_31_skewed():
+    g = u3_31()
+    x, y = (g.rows[k].tolist() for k in g.generators[:2])
+    return skewed(g, x, y, g.rows[g.identity].tolist())
+
+
+SKEWED_CASES = {
+    "heis(3), [(1,0,0), (0,1,0)] = (0,0,0)": lambda: skewed(heis(3), [1, 0, 0], [0, 1, 0], [0, 0, 0]),
+    "heis(3), [(0,1,0), (1,1,1)] = (2,0,1)": lambda: skewed(heis(3), [0, 1, 0], [1, 1, 1], [2, 0, 1]),
+    "heis(3), [(2,2,2), (0,0,1)] = (0,0,1)": lambda: skewed(heis(3), [2, 2, 2], [0, 0, 1], [0, 0, 1]),
+    "u3:p=3,m=1, [x, y] = e for its first two generators": u3_31_skewed,
+    "cyclic(9), [(3), (1)] = (3)": lambda: skewed(cyclic(9), [3], [1], [3]),
+    "cyclic(3), [(1), (2)] = (1)": lambda: skewed(cyclic(3), [1], [2], [1]),
+}
+IDENTITY_CASES = {
+    "heis(3)": lambda: heis(3),
+    "u3:p=3,m=1": u3_31,
+    "cyclic(3)": lambda: cyclic(3),
+    "cyclic(9)": lambda: cyclic(9),
+    "cyclic(27)": lambda: cyclic(27),
+    **SKEWED_CASES,
+}
+
+
+@pytest.mark.parametrize("path", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("label", list(IDENTITY_CASES))
+def test_class3_identities_match_brute_force(label, path):
+    # whole reports, counterexamples included; the sampled path replays the
+    # engine's seeded draws on a group below the exhaustive limit
+    g = IDENTITY_CASES[label]()
+    kw = {} if path == "exhaustive" else {"samples": 600, "seed": 7, "exhaustive_limit": g.order - 1}
+    rep = g.check_class3_identities(**kw)
+    assert rep == class3_identity_oracle(g, skew=getattr(g, "skew", None), **kw)
+    if label in SKEWED_CASES and path == "exhaustive":
+        assert not all(entry["passed"] for entry in rep.values())
+
+
+def test_class3_identities_exhaustive_counts_on_hmod():
+    from pgf.constructions import build_group
+    rep = build_group("hmod:p=3,m=1").check_class3_identities()
+    assert all(entry["passed"] for entry in rep.values())
+    checked = {name: entry["checked"] for name, entry in rep.items()}
+    assert checked == {
+        "central_pair_triple_vanishes": 3_011_499,
+        "central_commutator_swap": 5_845_851,
+        "product_expansion": 243 ** 3,
+        "power_expansion": 243 ** 2,
+        "power_commutator_collapse": 243 ** 3,
+    }
+    assert sum(checked.values()) == 37_614_213
+
+
+class CountingGroup(FiniteGroup):
+    """Counts the products asked of mul_many outside commutator_many, and
+    the pairs asked of commutator_many."""
+
+    def __init__(self, *args, **kw):
+        self.products = self.pairs = self._inside = 0
+        super().__init__(*args, **kw)
+
+    def mul_many(self, i, j):
+        out = super().mul_many(i, j)
+        if not self._inside:
+            self.products += out.size
+        return out
+
+    def commutator_many(self, a, b):
+        self._inside += 1
+        try:
+            out = super().commutator_many(a, b)
+        finally:
+            self._inside -= 1
+        self.pairs += out.size
+        return out
+
+
+def test_class3_identities_tabulate_each_product_once():
+    h = heis(5)
+    g = CountingGroup("H5", Heis3Backend(5), h.rows, generators=h.generators)
+    assert g.nilpotency_class() == 2  # the series is not part of the suite
+    g.products = g.pairs = 0
+    rep = g.check_class3_identities()
+    n, p = g.order, g.prime
+    assert rep["product_expansion"]["checked"] == n ** 3
+    # the two n x n tables, plus the center (two products per element and
+    # generator) and the power table (at most 2 * bit_length(s) passes of n)
+    assert g.pairs == n * n
+    assert n * n <= g.products <= n * n + 2 * n * len(g.generators) + 2 * p.bit_length() * p * n
 
 
 def test_class3_identities_sampled_path():
-    rep = heis(5).check_class3_identities(samples=500, seed=3)
+    # heis(5) has order 125, so the limit is lowered to take the sampled path
+    rep = heis(5).check_class3_identities(samples=500, seed=3, exhaustive_limit=100)
     assert all(entry["passed"] for entry in rep.values())
+    assert rep["product_expansion"]["checked"] == 500
+    assert rep == class3_identity_oracle(heis(5), samples=500, seed=3, exhaustive_limit=100)
 
 
 def test_class3_identities_reject_bad_input():
@@ -778,7 +886,7 @@ def test_class3_identities_reject_bad_input():
 
 def test_axioms_sampled_path():
     g = cyclic(2048)
-    g.verify_group_axioms(samples=2000, seed=5)
+    verify_group_axioms(g, samples=2000, seed=5)
     assert g.exponent() == 2048
 
 
