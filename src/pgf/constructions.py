@@ -206,38 +206,6 @@ class QuintupleBackend(Backend):
         return out
 
 
-def quintuple_commutator_oracle(ops: FieldOps, ga, gb):
-    """Closed-form [g,h] = g^-1 h^-1 g h for the quintuple product rule.
-
-    Independent of the engine's commutator: evaluates the polynomial
-      (0, 0, bx-ay, 2az-2cx+a^2*y-bx^2, 2(c-ab)y-2b(z-xy)-ay^2+b^2*x).
-    """
-    a, b, c = ga[:, 0], ga[:, 1], ga[:, 2]
-    x, y, z = gb[:, 0], gb[:, 1], gb[:, 2]
-
-    def two(t):
-        return ops.add(t, t)
-
-    cc = ops.sub(ops.mul(b, x), ops.mul(a, y))
-    dd = ops.add(
-        ops.sub(two(ops.mul(a, z)), two(ops.mul(c, x))),
-        ops.sub(ops.mul(ops.mul(a, a), y), ops.mul(b, ops.mul(x, x))),
-    )
-    ee = ops.add(
-        ops.sub(
-            ops.sub(two(ops.mul(ops.sub(c, ops.mul(a, b)), y)),
-                    two(ops.mul(b, ops.sub(z, ops.mul(x, y))))),
-            ops.mul(a, ops.mul(y, y)),
-        ),
-        ops.mul(ops.mul(b, b), x),
-    )
-    out = np.zeros_like(ga)
-    out[:, 2] = cc
-    out[:, 3] = dd
-    out[:, 4] = ee
-    return out
-
-
 class ProductBackend(Backend):
     """Direct product of a built group with (Z/pZ)^k; the first coordinate
     is an element index of the inner group, the rest are mod-p digits."""

@@ -28,6 +28,13 @@ from the coordinate rows.  The class-3 identity suite, exhaustive up to
 order 300, walks its triples one a-plane at a time over n x n tables.
 Element enumeration is refused beyond a hard cap (default 10**6).
 
+A group derives these once and stores them: its center, conjugacy
+classes, lower central series, element orders, inverses (row by row, as
+they are asked for) and central quotient G/Z.  remember(key, build) stores
+what other modules derive from the group the same way: the commutation
+maps of isoclinism, one per resampling, and the maximal-breadth mask of
+structure, both read-only.
+
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
 rows that hold another group's element indices (quotients, products).
@@ -251,6 +258,7 @@ class FiniteGroup:
         self._center = None
         self._classes = None
         self._lcs = None
+        self._memo: dict = {}
         if generators is None:
             generators = self.basis()
             assume_generates = True
@@ -321,10 +329,20 @@ class FiniteGroup:
         return int(self.mul_many(i, j))
 
     def inv_many(self, i) -> np.ndarray:
-        if self._inv is None:  # sliced: inverting every row at once peaks memory
-            self._inv = np.concatenate([self.index_of_rows(self.backend.inv_rows(
-                self.rows[s:s + CHUNK_PRODUCTS])) for s in range(0, self.order, CHUNK_PRODUCTS)])
-        return self._inv[_as_index_array(i)]
+        """Inverses, each row inverted (in CHUNK_PRODUCTS slices) and checked
+        against the universe the first time it is asked for."""
+        i = _as_index_array(i)
+        if self._inv is None:
+            self._inv = np.full(self.order, -1, dtype=np.int64)
+        out = self._inv[i]
+        miss = out < 0
+        if miss.any():
+            new = sorted_unique(i[miss])
+            for s in range(0, len(new), CHUNK_PRODUCTS):  # all rows at once would peak memory
+                part = new[s:s + CHUNK_PRODUCTS]
+                self._inv[part] = self.index_of_rows(self.backend.inv_rows(self.rows.T.take(part, axis=1).T))
+            out = self._inv[i]
+        return out
 
     def inv(self, i: int) -> int:
         return int(self.inv_many(i))
@@ -576,7 +594,18 @@ class FiniteGroup:
             raise GroupError("lower central index must be >= 1")
         return series[min(k, len(series)) - 1]
 
+    def remember(self, key, build):
+        """build(), run on the first call with this key; later calls read
+        the stored result.  A build that raises stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     # -- quotient ----------------------------------------------------------
+
+    def central_quotient(self) -> "FiniteGroup":
+        """G/Z(G), built once."""
+        return self.remember("central_quotient", lambda: self.quotient(self.center()))
 
     def quotient(self, n_sub: Subgroup, name: str | None = None) -> "FiniteGroup":
         """G/N for a normal subgroup N, its elements the cosets xN.

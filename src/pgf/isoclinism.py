@@ -54,7 +54,7 @@ class _Budget:
             raise _BudgetExceeded
 
 
-@dataclass
+@dataclass(frozen=True)
 class CommutationMap:
     """The bracket table over the central quotient.
 
@@ -72,9 +72,15 @@ class CommutationMap:
 
 
 def commutation_map(g: FiniteGroup, resample: int = 100, seed: int = 0) -> CommutationMap:
-    """Tabulate the bracket over coset leaders of the central quotient."""
+    """The bracket over coset leaders of the central quotient, built once
+    per (resample, seed) and stored on g; its table is read-only."""
+    return g.remember(("commutation_map", resample, seed),
+                      lambda: _build_commutation_map(g, resample, seed))
+
+
+def _build_commutation_map(g: FiniteGroup, resample: int, seed: int) -> CommutationMap:
     z = g.center()
-    qz = g.quotient(z)
+    qz = g.central_quotient()
     leaders = qz.backend.leaders
     table = g.commutator_many(leaders[:, None], leaders[None, :])
     der = g.derived_subgroup()
@@ -97,6 +103,7 @@ def commutation_map(g: FiniteGroup, resample: int = 100, seed: int = 0) -> Commu
         k = int(bad[0])
         raise GroupError(
             f"bracket table is not well defined at cosets ({i[k]}, {j[k]})")
+    table.setflags(write=False)
     return CommutationMap(qz, der, table)
 
 
@@ -376,7 +383,12 @@ def _force_theta(am: CommutationMap, bm: CommutationMap, phi: np.ndarray):
 
 def verify_isoclinism_witness(g: FiniteGroup, h: FiniteGroup,
                               witness: IsoclinismWitness) -> bool:
-    """Independent re-verification: both isomorphisms and the square."""
+    """Re-verification of both isomorphisms and the square, on the
+    commutation maps stored on g and h (a rebuild would rerun the same
+    deterministic code).  Every call checks in full: phi against the whole
+    product table of the central quotients, theta as a bijection of the
+    derived subgroups on all of their products, and theta([x, y]) =
+    [phi(x), phi(y)] on every pair of cosets."""
     am = commutation_map(g)
     bm = commutation_map(h)
     if not verify_isomorphism(am.quotient, bm.quotient, witness.phi):

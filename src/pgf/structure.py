@@ -152,15 +152,19 @@ def verify_class3_profile(g: FiniteGroup) -> CheckReport:
     return CheckReport("class3-square-profile", checks, inferred)
 
 
-def _derived_centralizer_is_center_mask(g: FiniteGroup, z: Subgroup,
-                                        der: Subgroup, m: int) -> np.ndarray:
-    """Mask of x with C_{G'}(x) = Z(G), vectorized over the group.
+def _derived_centralizer_is_center_mask(g: FiniteGroup) -> np.ndarray:
+    """Mask of x with C_{G'}(x) = Z(G), vectorized over the group, built
+    once, stored on g and read-only.
 
     For h in G' the bracket [h, x] lands in gamma_3 = Z and is linear in h
     modulo Z, so C_{G'}(x) = Z exactly when the m vectors [h_i, x], for a
     basis h_1..h_m of G' over Z, are independent in Z.
     """
-    p = g.prime
+    return g.remember("breadth_mask", lambda: _build_breadth_mask(g))
+
+
+def _build_breadth_mask(g: FiniteGroup) -> np.ndarray:
+    p, z, der = g.prime, g.center(), g.derived_subgroup()
     zb = ElemAbelianBasis(g, g.basis(z.members))
     hb = g.basis(der.members, floor=z.members)
     n = g.order
@@ -175,7 +179,9 @@ def _derived_centralizer_is_center_mask(g: FiniteGroup, z: Subgroup,
         for c, v in zip(coeffs, vecs):
             comb += c * v
         dependent |= ~np.any(comb % p, axis=1)
-    return ~dependent
+    mask = ~dependent
+    mask.setflags(write=False)
+    return mask
 
 
 def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) -> CheckReport:
@@ -213,7 +219,7 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
     checks["center_elem_abelian"] = {"passed": z.is_elementary_abelian()}
     checks["derived_elem_abelian"] = {"passed": der.is_elementary_abelian()}
 
-    qz = g.quotient(z)
+    qz = g.central_quotient()
     checks["central_quotient_exponent_p"] = {
         "passed": qz.exponent() == p,
         "exponent": int(qz.exponent()),
@@ -221,7 +227,7 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
 
     # maximal-breadth family: everything whose derived centralizer is the center
     if checks["center_is_gamma3"]["passed"] and checks["derived_elem_abelian"]["passed"]:
-        b_mask = _derived_centralizer_is_center_mask(g, z, der, m)
+        b_mask = _derived_centralizer_is_center_mask(g)
     else:
         b_mask = g.centralizer_orders_in(der) == z.order
     b_idx = np.nonzero(b_mask)[0]
@@ -500,7 +506,7 @@ def central_shift_frame(g: FiniteGroup, frame: GeneratorFrame,
 def _generic_frame_xy(g: FiniteGroup, m: int):
     z = g.center()
     der = g.derived_subgroup()
-    b_mask = _derived_centralizer_is_center_mask(g, z, der, m)
+    b_mask = _derived_centralizer_is_center_mask(g)
     seeds = np.nonzero(b_mask)[0]
     if not len(seeds):
         raise TheoremViolation("no element has derived centralizer equal to the center")

@@ -6,8 +6,10 @@ renames the elements of a group by a permutation (through RelabeledBackend,
 on the one FiniteGroup constructor), breadth and breadth_set measure
 centralizer indices, label gives an element's canonical byte encoding,
 cayley_table tabulates every product without mul_many, verify_group_axioms
-checks the group laws through mul_many, and class3_identity_oracle
-evaluates the class-3 identity suite tuple by tuple on the Cayley table.
+checks the group laws through mul_many, class3_identity_oracle
+evaluates the class-3 identity suite tuple by tuple on the Cayley table,
+and quintuple_commutator_oracle evaluates the quint commutator in closed
+form.
 """
 
 import itertools
@@ -24,6 +26,7 @@ from pgf.engine import (
     GroupError,
     Subgroup,
 )
+from pgf.fields import FieldOps
 
 
 def from_closure(name: str, backend: Backend, generator_rows: np.ndarray,
@@ -249,3 +252,35 @@ def class3_identity_oracle(g: FiniteGroup, samples: int = 10**4, seed: int = 0,
             ok = ok and br(a, power(b, s)) == mul(power(br(a, b), s), power(br(br(a, b), b), binom))
         record(names[3], ok, (a, b))
     return report
+
+
+def quintuple_commutator_oracle(ops: FieldOps, ga, gb):
+    """Closed-form [g,h] = g^-1 h^-1 g h for the quintuple product rule.
+
+    Independent of the engine's commutator: evaluates the polynomial
+      (0, 0, bx-ay, 2az-2cx+a^2*y-bx^2, 2(c-ab)y-2b(z-xy)-ay^2+b^2*x).
+    """
+    a, b, c = ga[:, 0], ga[:, 1], ga[:, 2]
+    x, y, z = gb[:, 0], gb[:, 1], gb[:, 2]
+
+    def two(t):
+        return ops.add(t, t)
+
+    cc = ops.sub(ops.mul(b, x), ops.mul(a, y))
+    dd = ops.add(
+        ops.sub(two(ops.mul(a, z)), two(ops.mul(c, x))),
+        ops.sub(ops.mul(ops.mul(a, a), y), ops.mul(b, ops.mul(x, x))),
+    )
+    ee = ops.add(
+        ops.sub(
+            ops.sub(two(ops.mul(ops.sub(c, ops.mul(a, b)), y)),
+                    two(ops.mul(b, ops.sub(z, ops.mul(x, y))))),
+            ops.mul(a, ops.mul(y, y)),
+        ),
+        ops.mul(ops.mul(b, b), x),
+    )
+    out = np.zeros_like(ga)
+    out[:, 2] = cc
+    out[:, 3] = dd
+    out[:, 4] = ee
+    return out

@@ -15,7 +15,6 @@ from pgf.cli import main as cli_main
 from pgf.constructions import (
     build_cyclic,
     build_group,
-    quintuple_commutator_oracle,
     verify_quintuple_identification,
 )
 from pgf.fields import FieldOps, structure_constants
@@ -27,6 +26,8 @@ from pgf.isoclinism import (
     verify_isomorphism,
 )
 from pgf import structure as st
+
+from helpers import quintuple_commutator_oracle
 
 FOUR_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 2))
 ALT_MODULUS = ",modulus=[2,1,1]"

@@ -26,7 +26,6 @@ from pgf.constructions import (
     identification_map,
     parse_group_spec,
     patterned_row,
-    quintuple_commutator_oracle,
     quintuple_coords,
     quintuple_generator_indices,
     quintuple_index,
@@ -37,7 +36,7 @@ import pgf.constructions
 from pgf.engine import CapExceeded, FiniteGroup, GroupError
 from pgf.fields import FieldError, FieldOps, ff_add, ff_mul, ff_sub, find_irreducible
 
-from helpers import from_closure
+from helpers import from_closure, quintuple_commutator_oracle
 
 F31 = find_irreducible(3, 1)
 F51 = find_irreducible(5, 1)

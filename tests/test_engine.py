@@ -406,6 +406,33 @@ def test_inverse_table_built_in_slices(spec, monkeypatch):
     assert np.all(g.mul_many(g.inv_many(idx), idx) == g.identity)
 
 
+def test_inverses_computed_only_for_the_rows_asked(monkeypatch):
+    from pgf.constructions import build_group
+
+    g = build_group("hmat:p=3,m=1")
+    g._inv = None
+    inverted = []
+    inv_rows = g.backend.inv_rows
+    monkeypatch.setattr(g.backend, "inv_rows", lambda a: inverted.append(len(a)) or inv_rows(a))
+    monkeypatch.setattr(pgf.engine, "CHUNK_PRODUCTS", 2)
+    few = np.array([[40, 5], [17, 5], [40, 600]])
+    got = g.inv_many(few)
+    assert inverted == [2, 2]  # the distinct rows 5, 17, 40, 600, two per slice
+    assert got.shape == few.shape
+    assert np.all(g.mul_many(few, got) == g.identity)
+    assert g.inv(17) == got[1, 0] and inverted == [2, 2]
+    idx = np.arange(g.order)
+    assert np.all(g.mul_many(idx, g.inv_many(idx)) == g.identity)
+    assert sum(inverted) == g.order
+
+
+def test_central_quotient_is_built_once():
+    g = heis(5)
+    q = g.central_quotient()
+    assert g.central_quotient() is q
+    assert np.array_equal(q.backend.leaders, g.quotient(g.center()).backend.leaders)
+
+
 # -- spanning sets -----------------------------------------------------------
 
 

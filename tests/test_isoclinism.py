@@ -1,19 +1,23 @@
 """Commutation maps, isomorphism search, and isoclinism decisions."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from pgf import isoclinism
+from pgf.cli import main as cli_main
 from pgf.constructions import (
     build_cyclic,
     build_direct_product_with_elem_abelian,
     build_group,
     u3_named_elements,
 )
-from pgf.engine import TABLE_CAP, CapExceeded, GroupError
+from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError
 from pgf.isoclinism import (
     SearchConfig,
+    _build_commutation_map,
     _search_generators,
     are_isoclinic,
     are_isomorphic,
@@ -100,6 +104,63 @@ def test_commutation_map_resampling_catches_a_noncentral_subgroup():
 def test_commutation_map_without_resampling(u3_31):
     a = commutation_map(u3_31, resample=0)
     assert np.array_equal(a.table, commutation_map(u3_31).table)
+
+
+@pytest.mark.parametrize("spec", ["u3:p=3,m=1", "hmod:p=3,m=1", "quint:p=3,m=1",
+                                  "xab:u3:p=3,m=1,k=1"])
+def test_stored_commutation_map_equals_a_fresh_build(spec):
+    g = build_group(spec)
+    cm = commutation_map(g)
+    assert are_isoclinic(g, g).outcome == "isoclinic"
+    assert commutation_map(g) is cm
+    assert g.central_quotient() is cm.quotient
+    fresh = _build_commutation_map(build_group(spec), 100, 0)
+    assert np.array_equal(cm.table, fresh.table)
+    assert np.array_equal(cm.quotient.backend.leaders, fresh.quotient.backend.leaders)
+    assert np.array_equal(cm.derived.members, fresh.derived.members)
+
+
+def test_commutation_map_stored_once_per_resampling(u3_31):
+    cm = commutation_map(u3_31)
+    assert commutation_map(u3_31, resample=100, seed=0) is cm
+    assert commutation_map(u3_31, seed=1) is not cm
+    with pytest.raises(ValueError):
+        cm.table[0, 0] = u3_31.identity
+
+
+def test_commutation_map_failed_build_is_not_stored():
+    g = build_group("quint:p=3,m=1")
+    g._center = g.derived_subgroup()
+    for _ in range(2):
+        with pytest.raises(GroupError, match="not well defined"):
+            commutation_map(g)
+
+
+def test_isoclinic_command_builds_each_map_once(capsys, monkeypatch):
+    counts = {"quotients": 0, "maps": 0}
+    quotient, build = FiniteGroup.quotient, isoclinism._build_commutation_map
+
+    def counted_quotient(self, *args, **kwargs):
+        counts["quotients"] += 1
+        return quotient(self, *args, **kwargs)
+
+    def counted_build(*args):
+        counts["maps"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(FiniteGroup, "quotient", counted_quotient)
+    monkeypatch.setattr(isoclinism, "_build_commutation_map", counted_build)
+    reports = []
+    for _ in range(2):
+        counts.update(quotients=0, maps=0)
+        assert cli_main(["isoclinic", "hmod:p=3,m=1", "quint:p=3,m=1"]) == 0
+        # the hmod build, then one central quotient per group
+        assert counts == {"quotients": 3, "maps": 2}
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert [c["passed"] for c in reports[0]["checks"]] == [True, True, True]
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -26,6 +26,8 @@ from pgf.structure import (
     verify_structural_suite,
 )
 
+from helpers import breadth_set
+
 
 def build(spec):
     return build_group(parse_group_spec(spec))
@@ -168,6 +170,22 @@ def test_quotient_centralizer_scan_matches_per_element_loop(fixture, step, reque
     scanned = pgf.structure._distinct_noncentral_centralizers(qz)
     assert [c.members.tolist() for c in scanned] == [list(k) for k in seen]
     assert all(c.parent is qz for c in scanned)
+
+
+@pytest.mark.parametrize("spec", ["hmod:p=3,m=1", "quint:p=3,m=1"])
+def test_breadth_mask_is_stored_and_matches_the_breadth_oracle(spec, monkeypatch):
+    builds = []
+    build_mask = pgf.structure._build_breadth_mask
+    monkeypatch.setattr(pgf.structure, "_build_breadth_mask",
+                        lambda g: builds.append(g) or build_mask(g))
+    g = build(spec)
+    verify_structural_suite(g)
+    lift_generator_frame(g, strategy="generic")
+    mask = pgf.structure._derived_centralizer_is_center_mask(g)
+    assert builds == [g]
+    assert np.array_equal(np.flatnonzero(mask), breadth_set(g, g.derived_subgroup()))
+    with pytest.raises(ValueError):
+        mask[0] = not mask[0]
 
 
 # -- recognition -----------------------------------------------------------
