@@ -72,7 +72,7 @@ class MatrixBackend(Backend):
         for t in range(self.width):
             acc = ops.add(a[t], b[t])
             for ta, tb in self.middle[t]:
-                acc = ops.add(acc, ops.mul(a[ta], b[tb]))
+                acc = ops.fma(acc, a[ta], b[tb])
             out[t] = acc
         return out.T
 
@@ -88,7 +88,7 @@ class MatrixBackend(Backend):
             for t in range(self.width):
                 col = nxt[t]
                 for ta, tb in self.middle[t]:
-                    col = ops.add(col, ops.mul(power[ta], a[tb]))
+                    col = ops.fma(col, power[ta], a[tb])
                 nxt[t] = col
             power = nxt
             acc = ops.add(acc, power) if sign else ops.sub(acc, power)
@@ -111,10 +111,11 @@ H_CHART = ("d", "a", "f", "e", "c", "b")
 class PatternedU5Backend(MatrixBackend):
     """The 5x5 unitriangular backend restricted to the tied-entry pattern.
 
-    check_rows asserts the ties on the universe of pattern rows.  Products
-    are not checked here: index_of_rows compares each one exactly with the
-    stored row at its chart code, so the constructor's closure proof over
-    the generators also proves the pattern multiplication-closed.
+    check_rows asserts the ties (a2, b2, c2 equal a, b, c) and the derived
+    entry ab-c, the four slots the chart code does not read, so
+    index_of_rows accepts exactly the pattern rows.  Every product goes
+    through it, so the constructor's closure proof over the generators
+    also proves the pattern multiplication-closed.
 
     A row's code is its six-parameter chart code, radix q per free slot,
     least significant first in the order H_CHART = (d, a, f, e, c, b), so
@@ -190,13 +191,10 @@ class QuintupleBackend(Backend):
         out = np.empty((5, len(a)), dtype=g.dtype)
         out[0] = ops.add(a, x)
         out[1] = ops.add(b, y)
-        out[2] = ops.add(ops.add(c, z), ops.mul(b, x))
+        out[2] = ops.fma(ops.add(c, z), b, x)
         abc = ops.sub(ops.mul(a, b), c)
-        out[3] = ops.add(ops.add(d, u), ops.add(ops.mul(a, z), ops.mul(abc, x)))
-        out[4] = ops.add(
-            ops.add(e, v),
-            ops.add(ops.mul(c, y), ops.mul(b, ops.sub(ops.mul(x, y), z))),
-        )
+        out[3] = ops.fma(ops.fma(ops.add(d, u), a, z), abc, x)
+        out[4] = ops.fma(ops.fma(ops.add(e, v), c, y), b, ops.sub(ops.mul(x, y), z))
         return out.T
 
     def inv_rows(self, g):

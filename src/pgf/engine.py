@@ -9,12 +9,15 @@ how to multiply and invert coordinate rows in bulk; hot loops (closure,
 conjugacy, centralizers, series) are expressed as vectorized index
 operations on top of it.
 
-When the sorted codes are exactly 0..n-1 the universe is a dense
-coordinate chart: an element's code is its index, so index_of_rows
-computes the index (encode, a range check and an exact row comparison)
-instead of looking it up.  Full coordinate universes (quint, u3, hmat,
-xab, cyclic) are dense; quotients, whose rows hold sparse coset leaders,
-look codes up with a binary search.
+Rows are stored row-major: a product gathers its operands one cache line
+per row.  When the sorted codes are exactly 0..n-1 the universe is a dense
+coordinate chart: an element's code is its index, and a row is an element
+exactly when its code lies in 0..n-1, its entries lie in their column
+radices and backend.check_rows accepts it.  The constructor asserts the
+last two on every stored row, and encode is one to one on the rows that
+pass both, so index_of_rows gathers no stored row.  Full coordinate
+universes (quint, u3, hmat, xab, cyclic) are dense; quotients, whose rows
+hold sparse coset leaders, look codes up with a binary search.
 
 A quotient G/N takes the least member of each coset as its leader.  The
 leaders come from flooding labels to their minimum along right
@@ -24,9 +27,10 @@ group by every member of N.
 
 Products are memoized in a 2-D n x n int32 array, read as table[i, j],
 when the order is at most TABLE_CAP; larger groups multiply on demand
-from the coordinate rows.  The class-3 identity suite, exhaustive up to
-order 300, walks its triples one a-plane at a time over n x n tables.
-Element enumeration is refused beyond a hard cap (default 10**6).
+from the coordinate rows, CHUNK_PRODUCTS at a time.  The class-3
+identity suite, exhaustive up to order 300, walks its triples one a-plane
+at a time over n x n tables.  Element enumeration is refused beyond a
+hard cap (default 10**6).
 
 A group derives these once and stores them: its center, conjugacy
 classes, lower central series, element orders, inverses (row by row, as
@@ -239,11 +243,14 @@ class FiniteGroup:
         backend.check_rows(rows)
         self.name = name
         self.backend = backend
-        # column-major: each column, and a gather of one, is contiguous
-        self.rows = np.asfortranarray(rows)
+        self.rows = rows  # row-major: a gather of whole rows reads each once
         self.codes = codes
         self.order = len(rows)
+        self._radices = np.asarray(backend.radices)
+        self._least_radix = min(backend.radices)
         self._dense = _is_dense(codes)
+        if self._dense and len(rows) and not self._in_radices(rows):
+            raise GroupError("a stored row of a dense chart leaves its column radices")
         self.field = field
         self.kind = kind
         try:
@@ -277,33 +284,43 @@ class FiniteGroup:
         """Element indices of coordinate rows; GroupError for a row outside
         the universe.
 
-        On a dense chart the code is the index: it must lie in 0..n-1 and
-        the stored row at that index must equal the given row exactly, which
-        also rejects rows that encode to a valid code without being an
-        element (say, an hmat row whose tied entries disagree).  Otherwise
-        the code is looked up in the sorted codes by binary search.
+        On a dense chart the code is the index, and membership is the test
+        of the module docstring: check_rows rejects a row that encodes to a
+        valid code without being an element (say, an hmat row whose tied
+        entries disagree).  Otherwise the code is looked up in the sorted
+        codes by binary search.
         """
         rows = np.asarray(rows)
         codes = self.backend.encode(rows)
         if self._dense:
-            inside = not len(codes) or (codes.min() >= 0 and codes.max() < self.order)
-            if inside and np.array_equal(self.rows.T.take(codes, axis=1), rows.T):
-                return codes
+            if not len(codes) or (codes.min() >= 0 and codes.max() < self.order and self._in_radices(rows)):
+                try:
+                    self.backend.check_rows(rows)
+                    return codes
+                except GroupError:
+                    pass
         else:
             pos = np.minimum(np.searchsorted(self.codes, codes), self.order - 1)
             if bool(np.all(self.codes[pos] == codes)):
                 return pos
         raise GroupError("product left the element universe (closure violation)")
 
+    def _in_radices(self, rows: np.ndarray) -> bool:
+        """Whether every entry of the (non-empty) rows lies in 0..radix-1
+        of its column.  Whole-array bounds come first: a reduction along
+        the columns of a row-major block is slow."""
+        return bool(rows.min() >= 0 and (rows.max() < self._least_radix
+                                         or np.all(rows.max(axis=0) < self._radices)))
+
     def _mul_index_raw(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Products, CHUNK_PRODUCTS at a time (all at once would peak memory)."""
+        if len(i) > CHUNK_PRODUCTS:
+            return np.concatenate([self._mul_index_raw(i[s:s + CHUNK_PRODUCTS], j[s:s + CHUNK_PRODUCTS])
+                                   for s in range(0, len(i), CHUNK_PRODUCTS)])
         direct = self.backend.mul_index(self.rows, i, j)
         if direct is not None:
             return direct
-        # operands are gathered column by column, so a backend that works
-        # per column reads contiguous columns of these row matrices
-        cols = self.rows.T
-        return self.index_of_rows(
-            self.backend.mul_rows(cols.take(i, axis=1).T, cols.take(j, axis=1).T))
+        return self.index_of_rows(self.backend.mul_rows(self.rows.take(i, axis=0), self.rows.take(j, axis=0)))
 
     def mul_many(self, i, j) -> np.ndarray:
         i = _as_index_array(i)
@@ -340,7 +357,7 @@ class FiniteGroup:
             new = sorted_unique(i[miss])
             for s in range(0, len(new), CHUNK_PRODUCTS):  # all rows at once would peak memory
                 part = new[s:s + CHUNK_PRODUCTS]
-                self._inv[part] = self.index_of_rows(self.backend.inv_rows(self.rows.T.take(part, axis=1).T))
+                self._inv[part] = self.index_of_rows(self.backend.inv_rows(self.rows.take(part, axis=0)))
             out = self._inv[i]
         return out
 
@@ -490,10 +507,7 @@ class FiniteGroup:
             mask = np.ones(self.order, dtype=bool)
             for g in self.generators:
                 cand = np.flatnonzero(mask)
-                for start in range(0, len(cand), CHUNK_PRODUCTS):
-                    part = cand[start:start + CHUNK_PRODUCTS]
-                    ok = self.mul_many(part, g) == self.mul_many(g, part)
-                    mask[part[~ok]] = False
+                mask[cand[self.mul_many(cand, g) != self.mul_many(g, cand)]] = False
             self._center = Subgroup(self, np.flatnonzero(mask), check=False)
         return self._center
 
@@ -807,7 +821,7 @@ class _Span:
     makes H <H, s>: the first new coset is H*s, and each new coset H*r
     offers candidates r*t, t in used, whose unknown ones represent the next
     cosets.  A wave computes its cosets H*r and their candidates in one
-    mul_many call, sliced at CHUNK_PRODUCTS; while H is {e}, H*r = {r}
+    mul_many call; while H is {e}, H*r = {r}
     costs no product.  Cosets of one wave with the same least member are
     one coset, kept once.  The result is closed under right multiplication
     by every generator (each r*t lies in a known coset), so it is <used>.
@@ -833,8 +847,7 @@ class _Span:
             width = len(h) if len(h) > 1 else 0  # a coset of {e} is its representative
             left = np.concatenate([np.tile(h[:width], len(reps)), np.repeat(reps, len(used))])
             right = np.concatenate([np.repeat(reps, width), np.tile(used, len(reps))])
-            prods = np.concatenate([g.mul_many(left[a:a + CHUNK_PRODUCTS], right[a:a + CHUNK_PRODUCTS])
-                                    for a in range(0, len(left), CHUNK_PRODUCTS)])
+            prods = g.mul_many(left, right)
             cosets = prods[:width * len(reps)].reshape(len(reps), width) if width else reps[:, None]
             first = np.unique(cosets.min(axis=1), return_index=True)[1]
             cosets = cosets[first]

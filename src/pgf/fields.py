@@ -19,6 +19,7 @@ in the presentation machinery.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,10 +276,12 @@ class FieldOps:
 
     Every field, prime or not, takes the same exact path: the binary ops
     read flat q*q tables (add, sub, mul) with `take` at a*q + b, and neg
-    reads a length-q table.  The flat index is computed in int16 up to
-    q = 181 and in intp beyond (wider inputs keep their own dtype), so it
-    never wraps.  The tables are built once, vectorized in int64 over the
-    coordinate vectors: a*b is the sum of b_k * (a * alpha^k), and the
+    reads a length-q table.  fma(acc, a, b) = acc + a*b reads one flat q**3
+    table, built from those on its first use, at (acc*q + a)*q + b.  A flat
+    index is computed in int16 while it fits (to q = 181 for q*q, q = 31
+    for q**3) and in intp beyond (wider inputs keep their own dtype), so it
+    never wraps.  The q*q tables are built once, vectorized in int64 over
+    the coordinate vectors: a*b is the sum of b_k * (a * alpha^k), and the
     a * alpha^k come from shifting a by alpha and reducing by the modulus.
     Codes are int16, so q must stay below 2**15.
     """
@@ -292,6 +295,7 @@ class FieldOps:
         # a numpy scalar q makes a*q + b compute in a dtype at least as wide
         # as its own, which holds q*q - 1
         self._q = (np.int16 if q * q - 1 <= np.iinfo(np.int16).max else np.intp)(q)
+        self._q3 = (np.int16 if q**3 - 1 <= np.iinfo(np.int16).max else np.intp)(q)
         weight = p ** np.arange(m, dtype=np.int64)
         coords = np.arange(q, dtype=np.int64)[:, None] // weight % p
         # shifted[a, k] are the coordinates of a * alpha^k, k < m
@@ -323,5 +327,13 @@ class FieldOps:
     def mul(self, a, b):
         return self._mul.take(a * self._q + b)
 
+    def fma(self, acc, a, b):
+        return self._fma.take((acc * self._q3 + a) * self._q3 + b)
+
     def neg(self, a):
         return self._neg.take(a)
+
+    @functools.cached_property
+    def _fma(self):
+        # entry acc*q*q + (a*q + b) is add[acc, mul[a*q + b]]
+        return self._add.reshape(self.q, self.q)[:, self._mul].ravel()

@@ -59,8 +59,9 @@ class CommutationMap:
     """The bracket table over the central quotient.
 
     table[i, j] is the parent element index of [x, y] for any
-    representatives x, y of cosets i, j; independence of the choice is
-    re-verified on construction by representative resampling.
+    representatives x, y of cosets i, j, stored as int32 (the indices of
+    an enumerated universe, far below 2**31); independence of the choice
+    is re-verified on construction by representative resampling.
     """
 
     quotient: FiniteGroup
@@ -82,7 +83,7 @@ def _build_commutation_map(g: FiniteGroup, resample: int, seed: int) -> Commutat
     z = g.center()
     qz = g.central_quotient()
     leaders = qz.backend.leaders
-    table = g.commutator_many(leaders[:, None], leaders[None, :])
+    table = g.commutator_many(leaders[:, None], leaders[None, :]).astype(np.int32)
     der = g.derived_subgroup()
     if not bool(np.all(der.contains_many(table.ravel()))):
         raise GroupError("bracket table leaves the derived subgroup")

@@ -9,7 +9,10 @@ cayley_table tabulates every product without mul_many, verify_group_axioms
 checks the group laws through mul_many, class3_identity_oracle
 evaluates the class-3 identity suite tuple by tuple on the Cayley table,
 and quintuple_commutator_oracle evaluates the quint commutator in closed
-form.
+form.  stored_rows maps each stored row to its index, with no encode, and
+matrix_product_oracle multiplies the stored rows of a unitriangular matrix
+group over a prime field as integer matrices and looks the products up
+there.
 """
 
 import itertools
@@ -284,3 +287,29 @@ def quintuple_commutator_oracle(ops: FieldOps, ga, gb):
     out[:, 3] = dd
     out[:, 4] = ee
     return out
+
+
+def stored_rows(g: FiniteGroup) -> dict:
+    """Each stored row of g, as a tuple of ints, mapped to its index."""
+    return {tuple(row): k for k, row in enumerate(g.rows.tolist())}
+
+
+def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
+    """Indices of g.rows[i] * g.rows[j] for a group of d x d lower
+    unitriangular matrices over a prime field, each row packing the
+    below-diagonal entries (1,0), (2,0), (2,1), (3,0), ...: the rows are
+    unpacked, multiplied as integer matrices mod p, repacked and looked up
+    in stored_rows (None for a product outside the stored rows)."""
+    if g.field.m != 1:
+        raise ValueError("the integer matrix product needs a prime field")
+    d = g.backend.d
+    r, c = np.array([(r, c) for r in range(d) for c in range(r)]).T
+
+    def unpack(rows):
+        m = np.broadcast_to(np.eye(d, dtype=np.int64), (len(rows), d, d)).copy()
+        m[:, r, c] = rows
+        return m
+
+    prod = unpack(g.rows[i]) @ unpack(g.rows[j]) % g.field.p
+    index = stored_rows(g)
+    return [index.get(tuple(row)) for row in prod[:, r, c].tolist()]

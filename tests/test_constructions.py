@@ -33,10 +33,11 @@ from pgf.constructions import (
     verify_quintuple_identification,
 )
 import pgf.constructions
-from pgf.engine import CapExceeded, FiniteGroup, GroupError
+import pgf.engine
+from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError
 from pgf.fields import FieldError, FieldOps, ff_add, ff_mul, ff_sub, find_irreducible
 
-from helpers import from_closure, quintuple_commutator_oracle
+from helpers import from_closure, matrix_product_oracle, quintuple_commutator_oracle
 
 F31 = find_irreducible(3, 1)
 F51 = find_irreducible(5, 1)
@@ -390,6 +391,29 @@ def test_hmat_lookup_rejects_rows_off_the_chart(field):
     for row in (untied, past, below):
         with pytest.raises(GroupError, match="universe"):
             hm.index_of_rows(row[None, :])
+
+
+@pytest.mark.parametrize("spec", ["u3:p=17,m=1", "hmat:p=5,m=1"])
+def test_products_past_the_memo_table_match_integer_matrices(spec):
+    g = build_group(spec)
+    assert g.order > TABLE_CAP
+    assert g.rows.flags.c_contiguous
+    rng = np.random.default_rng(11)
+    i, j = rng.integers(0, g.order, (2, 3000))
+    assert g.mul_many(i, j).tolist() == matrix_product_oracle(g, i, j)
+    assert g.mul_many(j, i).tolist() == matrix_product_oracle(g, j, i)
+
+
+def test_products_are_computed_chunk_by_chunk(monkeypatch):
+    g = build_h_matrix(F51)
+    sizes = []
+    mul_rows = g.backend.mul_rows
+    monkeypatch.setattr(g.backend, "mul_rows", lambda a, b: sizes.append(len(a)) or mul_rows(a, b))
+    monkeypatch.setattr(pgf.engine, "CHUNK_PRODUCTS", 1000)
+    i = np.arange(2500) * 7 % g.order
+    got = g.mul_many(i, i[::-1])
+    assert sizes == [1000, 1000, 500]
+    assert got.tolist() == matrix_product_oracle(g, i, i[::-1])
 
 
 def test_hmod_coordinate_roundtrip():

@@ -32,6 +32,7 @@ from helpers import (
     from_closure,
     label,
     relabel,
+    stored_rows,
     verify_group_axioms,
 )
 
@@ -593,6 +594,79 @@ def test_constructor_rejects_bad_index_rows():
     again = FiniteGroup("copy", q.backend, q.rows[::-1], generators=q.generators)
     assert again.rows.dtype == np.int64
     assert np.array_equal(again.rows, q.rows) and again.identity == q.identity
+
+
+MEMBERSHIP_CASES = ["heis3", "cyclic12", "quint:p=3,m=1", "hmat:p=3,m=1", "xab:u3:p=3,m=1,k=1"]
+
+
+@functools.lru_cache(maxsize=None)
+def membership_case(name):
+    from pgf.constructions import build_group
+
+    g = {"heis3": lambda: heis(3), "cyclic12": lambda: cyclic(12)}.get(name, lambda: build_group(name))()
+    assert g._dense
+    return g, stored_rows(g)
+
+
+def assert_membership_matches_stored_rows(g, stored, rows):
+    rows = np.asarray(rows, dtype=g.rows.dtype)
+    want = [stored.get(tuple(row)) for row in rows.tolist()]
+    if None in want:
+        with pytest.raises(GroupError, match="closure violation"):
+            g.index_of_rows(rows)
+    else:
+        assert g.index_of_rows(rows).tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_dense_membership_matches_a_dict_of_stored_rows(data):
+    # a stored row, a row of in-radix digits, or a stored row with one
+    # entry moved: to its radix or past it, below zero, or to another
+    # in-radix value (for hmat, an untied entry or a wrong ab-c)
+    g, stored = membership_case(data.draw(st.sampled_from(MEMBERSHIP_CASES)))
+    radices = g.backend.radices
+    rows = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        row = g.rows[data.draw(st.integers(0, g.order - 1))].astype(np.int64)
+        col = data.draw(st.integers(0, len(radices) - 1))
+        r = radices[col]
+        kind = data.draw(st.sampled_from(["stored", "digits", "radix", "negative", "other"]))
+        if kind == "digits":
+            row = np.array([data.draw(st.integers(0, t - 1)) for t in radices])
+        elif kind == "radix":
+            row[col] = r + data.draw(st.integers(0, 2))
+        elif kind == "negative":
+            row[col] = -data.draw(st.integers(1, r))
+        elif kind == "other":
+            row[col] = (row[col] + data.draw(st.integers(1, r - 1))) % r
+        rows.append(row)
+    assert_membership_matches_stored_rows(g, stored, rows)
+
+
+@pytest.mark.parametrize("name", MEMBERSHIP_CASES)
+def test_dense_membership_rejects_each_kind_of_row_off_the_chart(name):
+    from pgf.constructions import H_SLOTS
+
+    g, stored = membership_case(name)
+    e, radices = g.rows[g.identity].astype(np.int64), g.backend.radices
+    top = int(np.argmax(g.backend.encode(np.eye(len(radices), dtype=np.int64))))
+    moved = [e.copy() for _ in range(3)]
+    moved[0][0] = radices[0]  # a digit at its radix
+    moved[1][top], moved[1][0] = 1, -1  # a negative digit
+    moved[2][top] = radices[top]  # a code past n - 1
+    if g.kind == "hmat":
+        for slot in ("a2", "ab_c"):  # untied, and a wrong derived entry
+            moved.append(e.copy())
+            moved[-1][H_SLOTS[slot]] = 1
+    codes = g.backend.encode(np.array(moved))
+    assert codes[2] >= g.order
+    if top != 0:  # the first two have valid codes: only the digit bounds reject them
+        assert 0 <= codes[0] < g.order and 0 <= codes[1] < g.order
+    for row in moved:
+        assert stored.get(tuple(row.tolist())) is None
+        assert_membership_matches_stored_rows(g, stored, [row])
+    assert_membership_matches_stored_rows(g, stored, g.rows[::7])
 
 
 # -- subgroup validation ---------------------------------------------------

@@ -363,3 +363,19 @@ def test_property_fieldops_match_scalar_ops(data):
     assert ops.sub(a, b).tolist() == [spec.to_int(ff_sub(x, y, spec)) for x, y in pairs]
     assert ops.mul(a, b).tolist() == [spec.to_int(ff_mul(x, y, spec)) for x, y in pairs]
     assert ops.neg(a).tolist() == [spec.to_int(ff_neg(x, spec)) for x, _ in pairs]
+
+
+# GF(31) is the largest field whose q**3 - 1 fits the int16 fma index,
+# GF(37) the first whose index must go wide
+FMA_SPECS = [F31, F71, F52, F32, FieldSpec(3, 2, (2, 1, 1)), find_irreducible(31, 1),
+             find_irreducible(37, 1)]
+
+
+@pytest.mark.parametrize("spec", FMA_SPECS, ids=lambda s: f"q{s.q}-{s.serialize()}")
+def test_fma_is_add_of_mul_on_every_triple(spec):
+    ops = FieldOps(spec)
+    q = spec.q
+    acc, a, b = np.indices((q, q, q), dtype=np.int16).reshape(3, -1)
+    got = ops.fma(acc, a, b)
+    assert np.array_equal(got, ops.add(acc, ops.mul(a, b)))
+    assert got.dtype == np.int16

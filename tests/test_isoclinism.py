@@ -19,6 +19,7 @@ from pgf.isoclinism import (
     SearchConfig,
     _build_commutation_map,
     _search_generators,
+    _single_valued,
     are_isoclinic,
     are_isomorphic,
     commutation_map,
@@ -126,6 +127,23 @@ def test_commutation_map_stored_once_per_resampling(u3_31):
     assert commutation_map(u3_31, seed=1) is not cm
     with pytest.raises(ValueError):
         cm.table[0, 0] = u3_31.identity
+
+
+def test_int32_commutation_table_reads_as_int64(hmod31, quint31):
+    am, bm = commutation_map(hmod31), commutation_map(quint31)
+    assert am.table.dtype == bm.table.dtype == np.int32
+    res = are_isoclinic(hmod31, quint31)
+    assert res.outcome == "isoclinic"
+    w = res.witness
+    src, dst = am.table.ravel(), bm.table[w.phi][:, w.phi].ravel()
+    narrow = _single_valued(src, dst)
+    wide = _single_valued(src.astype(np.int64), dst.astype(np.int64))
+    assert all(np.array_equal(x, y) for x, y in zip(narrow, wide))
+    assert np.array_equal(narrow[0], am.derived.members)
+    assert _single_valued(np.array([4, 4], dtype=np.int32), np.array([1, 2], dtype=np.int32)) is None
+    assert np.array_equal(w.theta_of(am.table), w.theta_of(am.table.astype(np.int64)))
+    assert np.array_equal(w.theta_of(am.table), dst.reshape(am.table.shape))
+    assert verify_isoclinism_witness(hmod31, quint31, w)
 
 
 def test_commutation_map_failed_build_is_not_stored():
