@@ -686,6 +686,27 @@ def test_subgroup_validation():
     assert sub.is_abelian()
 
 
+def test_subgroup_validation_is_exact_past_1024_members():
+    from pgf.constructions import build_group
+    g = build_group("quint:p=3,m=2")
+    # a maximal subgroup: the Frattini subgroup and all but one basis pick over it
+    frattini = g.closure_members(np.concatenate([g.derived_subgroup().members,
+                                                 g.power_many(np.arange(g.order), g.prime)]))
+    picks = g.basis(floor=frattini)
+    members = g.closure_members(np.concatenate([frattini, picks[:-1]]))
+    assert len(members) == g.order // 3 > 1024
+    assert np.array_equal(g.subgroup(members).members, members)
+    # an inverse pair {y, y^-1} swapped for a non-member pair {x, x^-1}: the
+    # order, the identity and inversion are as in a subgroup, products are not
+    y, x = int(members[1]), picks[-1]
+    pairs = np.array([y, g.inv(y)]), np.array([x, g.inv(x)])
+    bad = np.concatenate([members[~np.isin(members, pairs[0])], pairs[1]])
+    assert not np.isin(pairs[1], members).any()
+    assert len(bad) == len(members) and g.identity in bad
+    with pytest.raises(GroupError, match="closed"):
+        g.subgroup(bad)
+
+
 def test_elementary_abelian_detection():
     g = heis(3)
     assert g.center().is_elementary_abelian()

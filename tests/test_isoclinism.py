@@ -6,15 +6,19 @@ import math
 import numpy as np
 import pytest
 
+import pgf.constructions
 from pgf import isoclinism
 from pgf.cli import main as cli_main
 from pgf.constructions import (
     build_cyclic,
     build_direct_product_with_elem_abelian,
     build_group,
+    identification_map,
+    parse_group_spec,
     u3_named_elements,
+    verify_quintuple_identification,
 )
-from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError
+from pgf.engine import CapExceeded, FiniteGroup, GroupError, is_homomorphism
 from pgf.isoclinism import (
     SearchConfig,
     _build_commutation_map,
@@ -28,6 +32,8 @@ from pgf.isoclinism import (
     verify_isomorphism,
 )
 from pgf.structure import recognize_u3
+
+from helpers import cayley_table
 
 
 @pytest.fixture(scope="module")
@@ -244,22 +250,53 @@ def test_search_exhaustion_refutes_without_invariant_pruning(u3_31):
     assert "search" in res.reason
 
 
-def test_verify_isomorphism_rejects_tampering(hmod31, quint31):
-    res = are_isomorphic(hmod31, quint31)
-    bad = res.mapping.copy()
-    bad[[1, 2]] = bad[[2, 1]]
-    assert not verify_isomorphism(hmod31, quint31, bad)
-    assert not verify_isomorphism(hmod31, quint31, bad[:-1])
-    assert not verify_isomorphism(hmod31, quint31, np.zeros_like(res.mapping))
+# hmod and quint pairs, with their coordinate identification, within the
+# product memo table (3,1) and past it (7,1), (3,2)
+IDENTIFIED = [(3, 1), (7, 1), (3, 2)]
+
+
+@pytest.fixture(scope="module")
+def built():
+    """build_group, once per spec in this module."""
+    cache = {}
+
+    def get(spec):
+        if spec not in cache:
+            cache[spec] = build_group(spec)
+        return cache[spec]
+    return get
+
+
+def swapped(mapping, i, j):
+    bad = mapping.copy()
+    bad[[i, j]] = bad[[j, i]]
+    return bad
+
+
+@pytest.mark.parametrize("p,m", IDENTIFIED)
+def test_verify_isomorphism_rejects_tampering(built, p, m):
+    hmod, quint = built(f"hmod:p={p},m={m}"), built(f"quint:p={p},m={m}")
+    good = identification_map(hmod, quint)
+    assert verify_isomorphism(hmod, quint, good)
+    assert not verify_isomorphism(hmod, quint, swapped(good, 1, 2))
+    assert not verify_isomorphism(hmod, quint, good[:-1])
+    assert not verify_isomorphism(hmod, quint, np.zeros_like(good))
     # an entry outside 0..n-1 is rejected, not an index error (n) or an
-    # index numpy wraps around (-1), within the product memo table and past it
-    big = build_group("quint:p=7,m=1")
-    assert hmod31.order <= TABLE_CAP < big.order
-    for a, b, good in ((hmod31, quint31, res.mapping), (big, big, np.arange(big.order))):
-        for entry in (b.order, -1):
-            bad = good.copy()
-            bad[good == b.order - 1] = entry
-            assert not verify_isomorphism(a, b, bad)
+    # index numpy wraps around (-1)
+    for entry in (quint.order, -1):
+        bad = good.copy()
+        bad[good == quint.order - 1] = entry
+        assert not verify_isomorphism(hmod, quint, bad)
+
+
+@pytest.mark.parametrize("p,m", IDENTIFIED)
+def test_identification_rejects_a_swapped_map(monkeypatch, built, p, m):
+    hmod, quint = built(f"hmod:p={p},m={m}"), built(f"quint:p={p},m={m}")
+    good = identification_map(hmod, quint)
+    assert verify_quintuple_identification(hmod, quint)["passed"]
+    monkeypatch.setattr(pgf.constructions, "identification_map", lambda a, b: swapped(good, 1, 2))
+    with pytest.raises(GroupError, match="homomorphism law"):
+        verify_quintuple_identification(hmod, quint)
 
 
 def test_isomorphism_result_serializes(u3_31):
@@ -340,22 +377,22 @@ def test_isoclinism_budget_exhaustion_inconclusive(hmod31, quint31):
     assert "budget" in res.reason
 
 
-def test_verify_rejects_tampered_witness(u3_31, u3_times_c3):
-    res = are_isoclinic(u3_31, u3_times_c3)
-    w = res.witness
-    bad_phi = w.phi.copy()
-    bad_phi[[0, 1]] = bad_phi[[1, 0]]
-    tampered = type(w)(bad_phi, w.theta_src, w.theta_dst)
-    assert not verify_isoclinism_witness(u3_31, u3_times_c3, tampered)
-    bad_dst = w.theta_dst.copy()
-    bad_dst[[0, 1]] = bad_dst[[1, 0]]
-    tampered = type(w)(w.phi, w.theta_src, bad_dst)
-    assert not verify_isoclinism_witness(u3_31, u3_times_c3, tampered)
+@pytest.mark.parametrize("specs", [("u3:p=3,m=1", "xab:u3:p=3,m=1,k=1")]
+                         + [(f"hmod:p={p},m={m}", f"quint:p={p},m={m}") for p, m in IDENTIFIED],
+                         ids="/".join)
+def test_verify_rejects_tampered_witness(built, specs):
+    g, h = map(built, specs)
+    w = are_isoclinic(g, h).witness
+    assert verify_isoclinism_witness(g, h, w)
+    tampered = type(w)(swapped(w.phi, 0, 1), w.theta_src, w.theta_dst)
+    assert not verify_isoclinism_witness(g, h, tampered)
+    tampered = type(w)(w.phi, w.theta_src, swapped(w.theta_dst, 0, 1))
+    assert not verify_isoclinism_witness(g, h, tampered)
     for entry in (len(w.phi), -1):
         bad_phi = w.phi.copy()
         bad_phi[w.phi == len(w.phi) - 1] = entry
         tampered = type(w)(bad_phi, w.theta_src, w.theta_dst)
-        assert not verify_isoclinism_witness(u3_31, u3_times_c3, tampered)
+        assert not verify_isoclinism_witness(g, h, tampered)
 
 
 def test_search_cap_requires_override(monkeypatch, u3_31, u3_times_c3):
@@ -408,3 +445,30 @@ def test_search_depth_is_the_frattini_rank(spec):
     assert len(q.closure_members(gens)) == q.order
     if spec.startswith("hmod:p=3,m=2"):
         assert d == 4  # a plain basis of this quotient has 6 elements
+
+
+SMALL_MATRIX = [s for s in SPEC_MATRIX if parse_group_spec(s).predicted_order() <= 243]
+
+
+@pytest.mark.parametrize("spec", SMALL_MATRIX)
+def test_edge_proof_matches_the_cayley_table_oracle(spec):
+    # the edge proof on generators against every product of the n x n
+    # table, for an inner automorphism of g and of G' and their mutants
+    g = build_group(spec)
+    table = cayley_table(g)
+    x = next(s for s in g.generators if not g.center().contains(s))
+    rng = np.random.default_rng(0)
+    for domain, gens in ((np.arange(g.order), g.generators),
+                         (g.derived_subgroup().members, g.basis(g.derived_subgroup().members))):
+        good = g.conjugate_many(domain, x)
+        mutants = [swapped(good, *rng.choice(len(domain), 2, replace=False)) for _ in range(8)]
+        verdicts = []
+        for image in [good] + mutants:
+            full = np.full(g.order, -1)
+            full[domain] = image
+            oracle = np.array_equal(full[table[np.ix_(domain, domain)]], table[np.ix_(image, image)])
+            verdicts.append(is_homomorphism(g, g, domain, gens, image))
+            assert verdicts[-1] == oracle
+        # a transposition fixes a subgroup of order n - 2, which divides n
+        # only for n <= 4: then it may be an automorphism (on G' = C3 of u3)
+        assert verdicts[0] and (len(domain) <= 4 or not any(verdicts[1:]))
