@@ -5,7 +5,8 @@ are isoclinic when an isomorphism pair (phi on the central quotients, theta
 on the derived subgroups) makes the two commutation maps commute.  The
 decision procedures here search phi by backtracking over generator images;
 theta is never searched, it is forced by phi through the commuting square
-and only checked for consistency.
+on a basis of the derived subgroup, and verify_isoclinism_witness judges
+the whole witness.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ class SearchConfig:
 
     max_nodes: int = 10 ** 6
     time_limit: float = 120.0
-    order_profile_pruning: bool = True
 
     def __post_init__(self):
         if self.max_nodes <= 0 or self.time_limit <= 0:
@@ -61,51 +61,53 @@ class CommutationMap:
     table[i, j] is the parent element index of [x, y] for any
     representatives x, y of cosets i, j, stored as int32 (the indices of
     an enumerated universe, far below 2**31); independence of the choice
-    is re-verified on construction by representative resampling.
+    is proved on construction.  basis holds the least-index bracket values
+    that generate G', positions one flat table position of each, so
+    table.flat[positions] == basis.
     """
 
     quotient: FiniteGroup
     derived: Subgroup
     table: np.ndarray
+    basis: np.ndarray
+    positions: np.ndarray
 
     def image_members(self) -> np.ndarray:
         return sorted_unique(self.table)
 
 
-def commutation_map(g: FiniteGroup, resample: int = 100, seed: int = 0) -> CommutationMap:
+def commutation_map(g: FiniteGroup) -> CommutationMap:
     """The bracket over coset leaders of the central quotient, built once
-    per (resample, seed) and stored on g; its table is read-only."""
-    return g.remember(("commutation_map", resample, seed),
-                      lambda: _build_commutation_map(g, resample, seed))
+    and stored on g; its table is read-only."""
+    return g.remember("commutation_map", lambda: _build_commutation_map(g))
 
 
-def _build_commutation_map(g: FiniteGroup, resample: int, seed: int) -> CommutationMap:
-    z = g.center()
+def _build_commutation_map(g: FiniteGroup) -> CommutationMap:
+    # [xz, yw] = [x, y] for central z, w, while z in Z not commuting with x
+    # gives [z, x] != [e, x]; so the table is well defined on the cosets of
+    # Z exactly when a basis of Z commutes with every generator of g
+    zb = np.asarray(g.basis(g.center().members), dtype=np.int64)
+    gens = np.asarray(g.generators, dtype=np.int64)
+    bad = np.argwhere(g.mul_many(zb[:, None], gens[None, :]) != g.mul_many(gens[None, :], zb[:, None]))
+    if len(bad):
+        k, s = bad[0]
+        raise GroupError(f"bracket table is not well defined: center element {zb[k]} "
+                         f"does not commute with generator {gens[s]}")
     qz = g.central_quotient()
     leaders = qz.backend.leaders
     table = g.commutator_many(leaders[:, None], leaders[None, :]).astype(np.int32)
     der = g.derived_subgroup()
-    if not bool(np.all(der.contains_many(table.ravel()))):
+    values = sorted_unique(table)
+    if not bool(np.all(der.contains_many(values))):
         raise GroupError("bracket table leaves the derived subgroup")
     if np.any(np.diagonal(table) != g.identity):
         raise GroupError("bracket of a coset with itself must be trivial")
-    # each resample draws coset i, coset j and a central shift for either
-    # side, in that order; the draws come first, then one batched product
-    # per side and one batched commutator check them all
-    rng = np.random.default_rng(seed)
-    q = len(leaders)
-    draws = np.array([[rng.integers(q), rng.integers(q), rng.integers(z.order), rng.integers(z.order)]
-                      for _ in range(resample)], dtype=np.int64).reshape(resample, 4)
-    i, j, zx, zy = draws.T
-    x = g.mul_many(leaders[i], z.members[zx])
-    y = g.mul_many(leaders[j], z.members[zy])
-    bad = np.nonzero(g.commutator_many(x, y) != table[i, j])[0]
-    if len(bad):
-        k = int(bad[0])
-        raise GroupError(
-            f"bracket table is not well defined at cosets ({i[k]}, {j[k]})")
+    # every commutator [x, y] is a table value, so the values generate G'
+    basis = np.asarray(g.basis(values), dtype=np.int64)
+    flat = table.ravel()
+    positions = np.array([int(np.argmax(flat == b)) for b in basis], dtype=np.int64)
     table.setflags(write=False)
-    return CommutationMap(qz, der, table)
+    return CommutationMap(qz, der, table, basis, positions)
 
 
 def _fingerprints(g: FiniteGroup) -> np.ndarray:
@@ -269,12 +271,9 @@ def are_isomorphic(a: FiniteGroup, b: FiniteGroup,
     cfg = cfg or SearchConfig()
     if a is b:
         return IsomorphismResult("isomorphic", np.arange(a.order, dtype=np.int64))
-    if cfg.order_profile_pruning:
-        reason = _isomorphism_refuter(a, b)
-        if reason is not None:
-            return IsomorphismResult("refuted", reason=reason)
-    elif a.order != b.order:
-        return IsomorphismResult("refuted", reason=f"orders {a.order} vs {b.order}")
+    reason = _isomorphism_refuter(a, b)
+    if reason is not None:
+        return IsomorphismResult("refuted", reason=reason)
     budget = _Budget(cfg)
     found: list = []
 
@@ -318,8 +317,10 @@ class IsoclinismWitness:
     theta_dst: np.ndarray
 
     def theta_of(self, idx) -> np.ndarray:
-        pos = np.searchsorted(self.theta_src, idx)
-        return self.theta_dst[pos]
+        """theta at members of the first group's derived subgroup."""
+        lookup = np.full(self.theta_src[-1] + 1, -1, dtype=self.theta_dst.dtype)
+        lookup[self.theta_src] = self.theta_dst
+        return lookup[idx]
 
     def inverted(self) -> "IsoclinismWitness":
         phi_inv = np.empty_like(self.phi)
@@ -352,39 +353,30 @@ class IsoclinismResult:
 
 
 def _force_theta(am: CommutationMap, bm: CommutationMap, phi: np.ndarray):
-    """theta forced by phi on bracket values; None when inconsistent.
+    """theta forced by phi through the commuting square; None on a conflict.
 
-    The commuting square sends [x, y] to the bracket of the phi images, so
-    every bracket value gets exactly one candidate image; single-valuedness
-    and extension to the whole derived subgroup are checked, not assumed.
+    theta([x, y]) = [phi(x), phi(y)] fixes theta on am.basis, each value
+    read at its table position, and _induced_map extends that to
+    <am.basis> = G'.  Whether the result is a bijection that makes the
+    square commute is left to verify_isoclinism_witness.
     """
-    pairs = _single_valued(am.table.ravel(), bm.table[phi][:, phi].ravel())
-    if pairs is None:
-        return None
-    pair_src, pair_dst = pairs
-    a_parent = am.derived.parent
-    b_parent = bm.derived.parent
-    amap = _induced_map(a_parent, b_parent, pair_src.tolist(), pair_dst.tolist())
+    i, j = np.divmod(am.positions, len(phi))
+    amap = _induced_map(am.derived.parent, bm.derived.parent, am.basis.tolist(),
+                        bm.table[phi[i], phi[j]].tolist())
     if amap is None:
         return None
-    src_members = am.derived.members
-    if np.any(amap[src_members] == -1):
-        return None
-    dst_members = amap[src_members]
-    if not np.array_equal(np.sort(dst_members), bm.derived.members):
-        return None
-    return IsoclinismWitness(phi.copy(), src_members.copy(), dst_members)
+    src = am.derived.members
+    return IsoclinismWitness(phi.copy(), src.copy(), amap[src])
 
 
 def verify_isoclinism_witness(g: FiniteGroup, h: FiniteGroup,
                               witness: IsoclinismWitness) -> bool:
-    """Re-verification of both isomorphisms and the square, on the
-    commutation maps stored on g and h (a rebuild would rerun the same
-    deterministic code).  Every call checks exactly: phi with
+    """The one judge of a witness, exact on the commutation maps stored on
+    g and h (a rebuild would rerun the same deterministic code): phi with
     verify_isomorphism on the central quotients, theta as a bijection of
-    the derived subgroups that respects products on the edges of a basis
-    of G' (engine.is_homomorphism), and theta([x, y]) = [phi(x), phi(y)]
-    on every pair of cosets."""
+    the derived subgroups that respects products on the edges of the
+    map's basis of G' (engine.is_homomorphism), and theta([x, y]) =
+    [phi(x), phi(y)] on every pair of cosets."""
     am = commutation_map(g)
     bm = commutation_map(h)
     if not verify_isomorphism(am.quotient, bm.quotient, witness.phi):
@@ -392,7 +384,7 @@ def verify_isoclinism_witness(g: FiniteGroup, h: FiniteGroup,
     src = am.derived.members
     if not (np.array_equal(witness.theta_src, src)
             and np.array_equal(np.sort(witness.theta_dst), bm.derived.members)
-            and is_homomorphism(g, h, src, g.basis(src), witness.theta_dst)):
+            and is_homomorphism(g, h, src, am.basis, witness.theta_dst)):
         return False
     forced = bm.table[witness.phi][:, witness.phi]
     return bool(np.array_equal(witness.theta_of(am.table), forced))
@@ -404,9 +396,9 @@ def are_isoclinic(g: FiniteGroup, h: FiniteGroup,
     """Search an isoclinism witness; refute on mismatched frame sizes.
 
     phi ranges over isomorphisms of the central quotients found by
-    backtracking; each complete phi forces theta, which is checked and the
-    whole witness re-verified before being returned.  Exhausting the phi
-    tree refutes; budget exhaustion is inconclusive.
+    backtracking; each complete phi forces theta, and the witness is
+    returned only once verify_isoclinism_witness accepts it.  Exhausting
+    the phi tree refutes; budget exhaustion is inconclusive.
     """
     cfg = cfg or SearchConfig()
     gq = g.order // g.center().order
@@ -432,10 +424,9 @@ def are_isoclinic(g: FiniteGroup, h: FiniteGroup,
                                     am.derived.members.copy(),
                                     am.derived.members.copy())
         return IsoclinismResult("isoclinic", witness)
-    if cfg.order_profile_pruning:
-        reason = _isomorphism_refuter(am.quotient, bm.quotient)
-        if reason is not None:
-            return IsoclinismResult("refuted", reason=f"central quotients: {reason}")
+    reason = _isomorphism_refuter(am.quotient, bm.quotient)
+    if reason is not None:
+        return IsoclinismResult("refuted", reason=f"central quotients: {reason}")
     budget = _Budget(cfg)
     box: list = []
 

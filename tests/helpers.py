@@ -9,10 +9,11 @@ cayley_table tabulates every product without mul_many, verify_group_axioms
 checks the group laws through mul_many, class3_identity_oracle
 evaluates the class-3 identity suite tuple by tuple on the Cayley table,
 and quintuple_commutator_oracle evaluates the quint commutator in closed
-form.  stored_rows maps each stored row to its index, with no encode, and
+form.  stored_rows maps each stored row to its index, with no encode,
 matrix_product_oracle multiplies the stored rows of a unitriangular matrix
 group over a prime field as integer matrices and looks the products up
-there.
+there, and theta_from_all_brackets forces an isoclinism's theta from every
+bracket pair.
 """
 
 import itertools
@@ -313,3 +314,32 @@ def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
     prod = unpack(g.rows[i]) @ unpack(g.rows[j]) % g.field.p
     index = stored_rows(g)
     return [index.get(tuple(row)) for row in prod[:, r, c].tolist()]
+
+
+def theta_from_all_brackets(am, bm, phi):
+    """theta forced by phi through every pair of cosets, as the images of
+    am.derived.members, or None: the all-brackets construction, an oracle
+    for the basis-forced theta of isoclinism._force_theta.
+
+    am and bm are commutation maps.  Each bracket value [x, y] must carry
+    one image [phi(x), phi(y)] over the whole table, and theta is read
+    off those pairs, so the values must fill G' (ValueError otherwise).
+    theta must then be a bijection onto H' that respects all |G'|^2
+    products of G'.
+    """
+    theta: dict = {}
+    forced = bm.table[np.ix_(phi, phi)]
+    for x, y in zip(am.table.ravel().tolist(), forced.ravel().tolist()):
+        if theta.setdefault(x, y) != y:
+            return None
+    src = am.derived.members
+    if sorted(theta) != src.tolist():
+        raise ValueError("the bracket values do not fill the derived subgroup")
+    dst = np.array([theta[x] for x in src.tolist()], dtype=np.int64)
+    if not np.array_equal(np.sort(dst), bm.derived.members):
+        return None
+    a, b = np.repeat(np.arange(len(src)), len(src)), np.tile(np.arange(len(src)), len(src))
+    lhs = [theta[x] for x in am.derived.parent.mul_many(src[a], src[b]).tolist()]
+    if lhs != bm.derived.parent.mul_many(dst[a], dst[b]).tolist():
+        return None
+    return dst

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pgf.engine
+import pgf.isoclinism
 from pgf.engine import (
     Backend,
     CapExceeded,
@@ -1075,6 +1076,31 @@ def test_index_sets_avoid_numpy_hash_path():
     assert any(path.name == "engine.py" for path in paths)
     found = [hit for path in paths for hit in hash_path_calls(path.read_text(), path.name)]
     assert found == []
+
+
+def random_accesses(source: str, filename: str = "<source>") -> list:
+    """Reads of np.random or numpy.random, and imports of numpy.random, by line."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if ((isinstance(node, ast.Attribute) and node.attr == "random"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+                or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")
+                or (isinstance(node, ast.Import)
+                    and any(a.name == "numpy.random" for a in node.names))):
+            lines.append(node.lineno)
+    return [f"{filename}:{n}" for n in sorted(lines)]
+
+
+def test_random_guard_flags_numpy_random():
+    source = ("a = np.random.default_rng(0)\nb = rng.random()\n"
+              "from numpy.random import default_rng\nc = numpy.random.rand()\n")
+    assert random_accesses(source) == ["<source>:1", "<source>:3", "<source>:4"]
+
+
+def test_isoclinism_verdicts_draw_no_random_numbers():
+    # a verdict or witness check that samples would depend on its seed
+    path = pathlib.Path(pgf.isoclinism.__file__)
+    assert random_accesses(path.read_text(), path.name) == []
 
 
 # -- one constructor, one span loop ------------------------------------------

@@ -22,6 +22,7 @@ from pgf.engine import CapExceeded, FiniteGroup, GroupError, is_homomorphism
 from pgf.isoclinism import (
     SearchConfig,
     _build_commutation_map,
+    _force_theta,
     _search_generators,
     _single_valued,
     are_isoclinic,
@@ -33,7 +34,7 @@ from pgf.isoclinism import (
 )
 from pgf.structure import recognize_u3
 
-from helpers import cayley_table
+from helpers import cayley_table, theta_from_all_brackets
 
 
 @pytest.fixture(scope="module")
@@ -90,27 +91,15 @@ def test_commutation_map_image_fills_derived_subgroup(hmod31):
     assert np.array_equal(image, cm.derived.members)
 
 
-def test_commutation_map_stable_under_resampling_seed(u3_31):
-    a = commutation_map(u3_31, resample=100, seed=1)
-    b = commutation_map(u3_31, resample=200, seed=99)
-    assert np.array_equal(a.table, b.table)
-
-
 def test_commutation_map_resampling_catches_a_noncentral_subgroup():
     # posing the (normal, not central) derived subgroup as the center makes
-    # the bracket on its cosets ill defined; the first failing resample, in
-    # draw order, is the one named
+    # the bracket on its cosets ill defined; the first (basis element,
+    # generator) pair that fails to commute is the one named
     g = build_group("quint:p=3,m=1")
     g._center = g.derived_subgroup()
-    with pytest.raises(GroupError, match=r"not well defined at cosets \(7, 5\)$"):
+    with pytest.raises(GroupError, match=r"not well defined: center element 9 "
+                                         r"does not commute with generator 1$"):
         commutation_map(g)
-    with pytest.raises(GroupError, match=r"not well defined at cosets \(4, 4\)$"):
-        commutation_map(g, seed=1)
-
-
-def test_commutation_map_without_resampling(u3_31):
-    a = commutation_map(u3_31, resample=0)
-    assert np.array_equal(a.table, commutation_map(u3_31).table)
 
 
 @pytest.mark.parametrize("spec", ["u3:p=3,m=1", "hmod:p=3,m=1", "quint:p=3,m=1",
@@ -121,16 +110,20 @@ def test_stored_commutation_map_equals_a_fresh_build(spec):
     assert are_isoclinic(g, g).outcome == "isoclinic"
     assert commutation_map(g) is cm
     assert g.central_quotient() is cm.quotient
-    fresh = _build_commutation_map(build_group(spec), 100, 0)
+    fresh = _build_commutation_map(build_group(spec))
     assert np.array_equal(cm.table, fresh.table)
     assert np.array_equal(cm.quotient.backend.leaders, fresh.quotient.backend.leaders)
     assert np.array_equal(cm.derived.members, fresh.derived.members)
+    assert np.array_equal(cm.basis, fresh.basis)
+    # the basis is made of bracket values, found at its positions, and
+    # generates the derived subgroup
+    assert np.array_equal(cm.table.flat[cm.positions], cm.basis)
+    assert np.array_equal(g.closure_members(cm.basis), cm.derived.members)
 
 
 def test_commutation_map_stored_once_per_resampling(u3_31):
     cm = commutation_map(u3_31)
-    assert commutation_map(u3_31, resample=100, seed=0) is cm
-    assert commutation_map(u3_31, seed=1) is not cm
+    assert commutation_map(u3_31) is cm
     with pytest.raises(ValueError):
         cm.table[0, 0] = u3_31.identity
 
@@ -241,11 +234,12 @@ def test_exhausted_time_budget_is_named(hmod31, quint31):
     assert res.nodes == 1
 
 
-def test_search_exhaustion_refutes_without_invariant_pruning(u3_31):
-    # with profile pruning off the candidate buckets still empty out,
-    # because no cyclic-group element shares a noncentral fingerprint
+def test_search_exhaustion_refutes_without_invariant_pruning(monkeypatch, u3_31):
+    # with the invariant refuter silenced the candidate buckets still empty
+    # out, because no cyclic-group element shares a noncentral fingerprint
+    monkeypatch.setattr(isoclinism, "_isomorphism_refuter", lambda a, b: None)
     c27 = build_cyclic(27)
-    res = are_isomorphic(u3_31, c27, SearchConfig(order_profile_pruning=False))
+    res = are_isomorphic(u3_31, c27)
     assert res.outcome == "refuted"
     assert "search" in res.reason
 
@@ -377,9 +371,11 @@ def test_isoclinism_budget_exhaustion_inconclusive(hmod31, quint31):
     assert "budget" in res.reason
 
 
-@pytest.mark.parametrize("specs", [("u3:p=3,m=1", "xab:u3:p=3,m=1,k=1")]
-                         + [(f"hmod:p={p},m={m}", f"quint:p={p},m={m}") for p, m in IDENTIFIED],
-                         ids="/".join)
+WITNESS_PAIRS = ([("u3:p=3,m=1", "xab:u3:p=3,m=1,k=1")]
+                 + [(f"hmod:p={p},m={m}", f"quint:p={p},m={m}") for p, m in IDENTIFIED])
+
+
+@pytest.mark.parametrize("specs", WITNESS_PAIRS, ids="/".join)
 def test_verify_rejects_tampered_witness(built, specs):
     g, h = map(built, specs)
     w = are_isoclinic(g, h).witness
@@ -388,11 +384,30 @@ def test_verify_rejects_tampered_witness(built, specs):
     assert not verify_isoclinism_witness(g, h, tampered)
     tampered = type(w)(w.phi, w.theta_src, swapped(w.theta_dst, 0, 1))
     assert not verify_isoclinism_witness(g, h, tampered)
+    # G' is elementary abelian and p odd, so squaring theta keeps it a
+    # bijective homomorphism: only the commuting square rejects it
+    squared = h.power_many(w.theta_dst, 2)
+    assert np.array_equal(np.sort(squared), commutation_map(h).derived.members)
+    assert is_homomorphism(g, h, w.theta_src, commutation_map(g).basis, squared)
+    assert not verify_isoclinism_witness(g, h, type(w)(w.phi, w.theta_src, squared))
     for entry in (len(w.phi), -1):
         bad_phi = w.phi.copy()
         bad_phi[w.phi == len(w.phi) - 1] = entry
         tampered = type(w)(bad_phi, w.theta_src, w.theta_dst)
         assert not verify_isoclinism_witness(g, h, tampered)
+
+
+@pytest.mark.parametrize("specs", WITNESS_PAIRS, ids="/".join)
+def test_forced_theta_matches_the_all_brackets_oracle(built, specs):
+    g, h = map(built, specs)
+    am, bm = commutation_map(g), commutation_map(h)
+    phi = are_isoclinic(g, h).witness.phi
+    assert np.array_equal(_force_theta(am, bm, phi).theta_dst,
+                          theta_from_all_brackets(am, bm, phi))
+    bad = swapped(phi, 1, 2)
+    assert theta_from_all_brackets(am, bm, bad) is None
+    forced = _force_theta(am, bm, bad)
+    assert forced is None or not verify_isoclinism_witness(g, h, forced)
 
 
 def test_search_cap_requires_override(monkeypatch, u3_31, u3_times_c3):
