@@ -36,8 +36,8 @@ A group derives these once and stores them: its center, conjugacy
 classes, lower central series, element orders, inverses (row by row, as
 they are asked for) and central quotient G/Z.  remember(key, build) stores
 what other modules derive from the group the same way: the commutation
-maps of isoclinism, one per resampling, and the maximal-breadth mask of
-structure, both read-only.
+map of isoclinism and the maximal-breadth mask of structure, each stored
+once per group and read-only.
 
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
@@ -49,9 +49,10 @@ with a stored row, so the stored rows are also proved closed.
 There is one closure, Dimino's (_Span), grown by whole cosets: about n
 products plus one per coset representative and generator, not the n * k
 of a breadth-first closure.  There is one loop that picks elements by
-span, FiniteGroup.basis: default generators, the generators of N in a
-quotient, the bases of the structure checks and the search generators of
-the isoclinism search all come from it, each pick growing its one span.
+span, _Span.extend, which skips the members a span already holds: every
+closure grows through it, and so does FiniteGroup.basis, whose picks give
+the default generators, the generators of N in a quotient, the bases of
+the structure checks and the search generators of the isoclinism search.
 There is one homomorphism check, is_homomorphism, on the edges x -> x*s
 for s in a generating set: n * d products, exact at every order.
 
@@ -202,11 +203,11 @@ class Subgroup:
         return _commute_pairwise(self.parent, self.parent.basis(self.members))
 
     def is_elementary_abelian(self) -> bool:
-        if not self.is_abelian():
-            return False
-        orders = self.parent.element_orders()[self.members]
-        p = self.parent.prime
-        return bool(np.all((orders == 1) | (orders == p)))
+        """Abelian with a basis of elements of order dividing p: (ab)^p =
+        a^p b^p for commuting a, b, so then every member has such order."""
+        g = self.parent
+        basis = g.basis(self.members)
+        return _commute_pairwise(g, basis) and bool(np.all(g.power_many(basis, g.prime) == g.identity))
 
     def same_as(self, other: "Subgroup") -> bool:
         return self.parent is other.parent and np.array_equal(self.members, other.members)
@@ -469,14 +470,10 @@ class FiniteGroup:
         Each pick grows the one span by its new cosets.
         """
         members = np.arange(self.order) if members is None else sorted_unique(_as_index_array(members))
-        span = _Span(self, [] if floor is None else self.basis(floor))
-        picks: list[int] = []
-        outside = members[~span.known[members]]
-        while len(outside):
-            picks.append(int(outside[0]))
-            span.add(picks[-1])
-            outside = outside[~span.known[outside]]
-        return picks
+        span = _Span(self, [] if floor is None else floor)
+        start = len(span.used)
+        span.extend(members)
+        return span.used[start:]
 
     def normal_closure_members(self, members) -> np.ndarray:
         """Smallest normal subgroup containing members, as a sorted index array.
@@ -828,8 +825,14 @@ class _Span:
         self.known[group.identity] = True
         self.members = np.array([group.identity], dtype=np.int64)
         self.used: list[int] = []
-        for s in _as_index_array(gens).ravel().tolist():
-            self.add(s)
+        self.extend(gens)
+
+    def extend(self, gens) -> None:
+        """add(s) for each s of gens in order, one vectorized filter per
+        pick: the members already in H are skipped."""
+        gens = _as_index_array(gens).ravel()
+        while len(gens := gens[~self.known[gens]]):
+            self.add(int(gens[0]))
 
     def add(self, s: int) -> None:
         if self.known[s]:

@@ -72,9 +72,6 @@ class CommutationMap:
     basis: np.ndarray
     positions: np.ndarray
 
-    def image_members(self) -> np.ndarray:
-        return sorted_unique(self.table)
-
 
 def commutation_map(g: FiniteGroup) -> CommutationMap:
     """The bracket over coset leaders of the central quotient, built once

@@ -12,11 +12,12 @@ a frame leaves open.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CHUNK_PRODUCTS, FiniteGroup, GroupError, Subgroup, sorted_unique
+from .engine import FiniteGroup, GroupError, Subgroup, sorted_unique
 from .fields import KappaTensor, structure_constants
 from .constructions import quintuple_generator_indices
 
@@ -76,11 +77,11 @@ class ElemAbelianBasis:
         self.basis = [int(b) for b in basis]
         p = group.prime
         self.p = p
+        powers = _power_table(group, self.basis, p - 1)
         elems = np.array([group.identity], dtype=np.int64)
         coords = np.zeros((1, 0), dtype=np.int64)
-        for b in self.basis:
-            powers = np.array([group.power(b, k) for k in range(p)], dtype=np.int64)
-            elems = group.mul_many(elems[:, None], powers[None, :]).ravel()
+        for k in range(len(self.basis)):
+            elems = group.mul_many(elems[:, None], powers[None, :, k]).ravel()
             coords = np.hstack([
                 np.repeat(coords, p, axis=0),
                 np.tile(np.arange(p, dtype=np.int64), len(coords))[:, None],
@@ -95,15 +96,18 @@ class ElemAbelianBasis:
     def dim(self) -> int:
         return len(self.basis)
 
+    def contains_many(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        return self._elems[np.minimum(np.searchsorted(self._elems, idx), len(self._elems) - 1)] == idx
+
     def log_many(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self._elems, idx), len(self._elems) - 1)
-        bad = self._elems[pos] != idx
+        bad = ~self.contains_many(idx)
         if np.any(bad):
             i = int(idx[np.nonzero(bad)[0][0]] if idx.ndim else idx)
             raise TheoremViolation(
                 f"element {i} lies outside the span of the basis")
-        return self._coords[pos]
+        return self._coords[np.searchsorted(self._elems, idx)]
 
     def log(self, i: int) -> np.ndarray:
         return self.log_many(np.array([i], dtype=np.int64))[0]
@@ -158,7 +162,9 @@ def _derived_centralizer_is_center_mask(g: FiniteGroup) -> np.ndarray:
 
     For h in G' the bracket [h, x] lands in gamma_3 = Z and is linear in h
     modulo Z, so C_{G'}(x) = Z exactly when the m vectors [h_i, x], for a
-    basis h_1..h_m of G' over Z, are independent in Z.
+    basis h_1..h_m of G' over Z, are independent in Z.  [h, xw] = [h, x]
+    for central w, so the brackets are read once per coset of Z, on the
+    leaders of G/Z, and the verdict is spread over each coset.
     """
     return g.remember("breadth_mask", lambda: _build_breadth_mask(g))
 
@@ -167,19 +173,18 @@ def _build_breadth_mask(g: FiniteGroup) -> np.ndarray:
     p, z, der = g.prime, g.center(), g.derived_subgroup()
     zb = ElemAbelianBasis(g, g.basis(z.members))
     hb = g.basis(der.members, floor=z.members)
-    n = g.order
-    idx = np.arange(n, dtype=np.int64)
-    vecs = [zb.log_many(g.commutator_many(np.full(n, h, dtype=np.int64), idx))
-            for h in hb]
-    dependent = np.zeros(n, dtype=bool)
+    quotient = g.central_quotient().backend
+    leaders = quotient.leaders
+    vecs = [zb.log_many(g.commutator_many(h, leaders)) for h in hb]
+    dependent = np.zeros(len(leaders), dtype=bool)
     for coeffs in itertools.product(range(p), repeat=len(hb)):
         if not any(coeffs):
             continue
-        comb = np.zeros((n, zb.dim), dtype=np.int64)
+        comb = np.zeros((len(leaders), zb.dim), dtype=np.int64)
         for c, v in zip(coeffs, vecs):
             comb += c * v
         dependent |= ~np.any(comb % p, axis=1)
-    mask = ~dependent
+    mask = ~dependent[quotient.coset_of]
     mask.setflags(write=False)
     return mask
 
@@ -231,8 +236,10 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
     else:
         b_mask = g.centralizer_orders_in(der) == z.order
     b_idx = np.nonzero(b_mask)[0]
+    # the profile puts Z inside G', which sits inside the Frattini subgroup,
+    # so the family generates G exactly when its cosets generate G/Z
     checks["breadth_family_generates"] = {
-        "passed": bool(len(b_idx)) and len(g.closure_members(g.basis(b_idx))) == n,
+        "passed": bool(len(b_idx)) and len(qz.closure_members(qz.backend.coset_of[b_idx])) == qz.order,
         "family_size": int(len(b_idx)),
     }
 
@@ -265,11 +272,8 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
     pair_ok = True
     for a, b in itertools.combinations(cents, 2):
         inter = np.intersect1d(a.members, b.members, assume_unique=True)
-        if not np.array_equal(inter, qcen.members):
-            pair_ok = False
-            break
-        prods = sorted_unique(qz.mul_many(a.members[:, None], b.members[None, :]))
-        if len(prods) != qz.order:
+        # |AB| = |A||B| / |A n B| for subgroups A and B
+        if not np.array_equal(inter, qcen.members) or a.order * b.order // len(inter) != qz.order:
             pair_ok = False
             break
     checks["quotient_centralizer_pairs"] = {
@@ -282,17 +286,30 @@ def verify_structural_suite(g: FiniteGroup, profile: CheckReport | None = None) 
 
 
 def _distinct_noncentral_centralizers(g: FiniteGroup) -> list:
-    """Distinct C(x) over noncentral x, in order of first x, scanned in chunks."""
-    idx = np.arange(g.order, dtype=np.int64)
-    xs = np.flatnonzero(~g.center().membership_mask())
-    step = max(1, CHUNK_PRODUCTS // g.order)
+    """Distinct C(x) over noncentral x, in order of first x: the walk skips
+    only elements with the centralizer of an earlier one."""
     seen: dict = {}
-    for start in range(0, len(xs), step):
-        x = xs[start:start + step, None]
-        for row in g.mul_many(x, idx) == g.mul_many(idx, x):
-            if (key := row.tobytes()) not in seen:
-                seen[key] = Subgroup(g, idx[row], check=False)
+    for _, c, _ in _centralizer_walk(g):
+        seen.setdefault(c.members.tobytes(), c)
     return list(seen.values())
+
+
+def _centralizer_walk(g: FiniteGroup):
+    """(x, C(x), whether C(x) is abelian) for noncentral x in index order.
+
+    An element y of an abelian C = C(x) with |C_G(y)| = |C| has C_G(y) = C
+    (C commutes with y, so C <= C_G(y)), so all such y are skipped.
+    """
+    corders = g.order // g.class_size_of()
+    alive = ~g.center().membership_mask()
+    while np.any(alive):
+        x = int(np.argmax(alive))
+        c = g.centralizer(x)
+        abelian = c.is_abelian()
+        yield x, c, abelian
+        if abelian:
+            alive[c.members[corders[c.members] == c.order]] = False
+        alive[x] = False
 
 
 @dataclass
@@ -346,24 +363,9 @@ def recognize_u3(g: FiniteGroup) -> U3Recognition:
 
 
 def _first_nonabelian_centralizer(g: FiniteGroup):
-    """Least non-central element with a non-abelian centralizer, or None.
-
-    Scans centralizers; an element y of an abelian centralizer C with
-    |C_G(y)| = |C| has C_G(y) = C (C commutes with y, so C <= C_G(y)), so
-    the whole of C settles in one step when centralizer orders agree.
-    """
-    corders = g.order // g.class_size_of()
-    alive = ~g.center().membership_mask()
-    while np.any(alive):
-        x = int(np.nonzero(alive)[0][0])
-        c = g.centralizer(x)
-        if not c.is_abelian():
-            return x
-        mem = c.members
-        settled = mem[corders[mem] == c.order]
-        alive[settled] = False
-        alive[x] = False
-    return None
+    """Least non-central element with a non-abelian centralizer, or None:
+    the walk settles only the members of abelian centralizers."""
+    return next((x for x, _, abelian in _centralizer_walk(g) if not abelian), None)
 
 
 def find_central_correction(g: FiniteGroup, u: int, v: int) -> int:
@@ -418,30 +420,33 @@ class GeneratorFrame:
         return len(self.x)
 
     def validate(self) -> None:
-        """Check every frame invariant; raise GroupError on the first failure."""
+        """Check every frame invariant; raise GroupError on the first failure
+        (the brackets come from one commutator_many call)."""
         g = self.group
         m = self.m
+        rels = []  # (a, b, the value [a, b] must take, the failure message)
         for i in range(m):
-            if g.commutator(self.x[0], self.y[i]) != self.h[i]:
-                raise GroupError(f"[x1, y{i + 1}] is not h{i + 1}")
-            if g.commutator(self.h[0], self.x[i]) != self.z[i]:
-                raise GroupError(f"[h1, x{i + 1}] is not z{i + 1}")
-            if g.commutator(self.h[0], self.y[i]) != self.z[m + i]:
-                raise GroupError(f"[h1, y{i + 1}] is not z{m + i + 1}")
+            rels += [(self.x[0], self.y[i], self.h[i], f"[x1, y{i + 1}] is not h{i + 1}"),
+                     (self.h[0], self.x[i], self.z[i], f"[h1, x{i + 1}] is not z{i + 1}"),
+                     (self.h[0], self.y[i], self.z[m + i], f"[h1, y{i + 1}] is not z{m + i + 1}")]
         for j in range(1, m):
-            if g.commutator(self.x[0], self.x[j]) != g.identity:
-                raise GroupError(f"x1 does not commute with x{j + 1}")
-            if g.commutator(self.y[0], self.y[j]) != g.identity:
-                raise GroupError(f"y1 does not commute with y{j + 1}")
+            rels += [(self.x[0], self.x[j], g.identity, f"x1 does not commute with x{j + 1}"),
+                     (self.y[0], self.y[j], g.identity, f"y1 does not commute with y{j + 1}")]
+        a, b, want, messages = zip(*rels)
+        bad = np.flatnonzero(g.commutator_many(a, b) != np.asarray(want))
+        if len(bad):
+            raise GroupError(messages[bad[0]])
         zspan = g.closure_members(list(self.z))
         if not np.array_equal(zspan, g.center().members):
             raise GroupError("z entries do not form a basis of the center")
         hz = g.closure_members(list(self.h) + list(self.z))
         if not np.array_equal(hz, g.derived_subgroup().members):
             raise GroupError("h entries do not span the derived subgroup over the center")
-        # G' sits inside the Frattini subgroup of a p-group, so generating
-        # modulo G' is the same as generating outright
-        if len(g.closure_members(list(self.x) + list(self.y))) != g.order:
+        # the checks above prove Z = <z> <= <h, z> = G', and G' sits inside
+        # the Frattini subgroup of a p-group, so x and y generate G exactly
+        # when their cosets generate G/Z
+        qz = g.central_quotient()
+        if len(qz.closure_members(qz.backend.coset_of[list(self.x + self.y)])) != qz.order:
             raise GroupError("x and y entries do not generate the group modulo the derived subgroup")
 
 
@@ -471,9 +476,8 @@ def lift_generator_frame(g: FiniteGroup, strategy: str = "coordinate",
         xs, ys = _generic_frame_xy(g, m)
     else:
         raise GroupError(f"unknown frame strategy: {strategy!r}")
-    hs = [g.commutator(xs[0], ys[i]) for i in range(m)]
-    zs = ([g.commutator(hs[0], xs[i]) for i in range(m)]
-          + [g.commutator(hs[0], ys[i]) for i in range(m)])
+    hs = g.commutator_many(xs[0], ys[:m]).tolist()
+    zs = g.commutator_many(hs[0], xs[:m] + ys[:m]).tolist()
     frame = GeneratorFrame(g, tuple(xs), tuple(ys), tuple(hs), tuple(zs))
     frame.validate()
     return frame
@@ -488,14 +492,12 @@ def central_shift_frame(g: FiniteGroup, frame: GeneratorFrame,
     off its original value so the result never collapses back onto the
     input frame.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     z = g.center()
-
-    def shift(idx: int) -> int:
-        return g.mul(int(idx), int(z.members[rng.integers(z.order)]))
-
-    xs = [shift(v) for v in frame.x]
-    ys = [shift(v) for v in frame.y]
+    old = frame.x + frame.y
+    shifts = z.members[[rng.randrange(z.order) for _ in old]]
+    new = g.mul_many(old, shifts).tolist()
+    xs, ys = new[:frame.m], new[frame.m:]
     if tuple(xs) == tuple(frame.x) and tuple(ys) == tuple(frame.y):
         xs[0] = g.mul(int(frame.x[0]), int(z.members[1]))
     shifted = GeneratorFrame(g, tuple(xs), tuple(ys), frame.h, frame.z)
@@ -511,22 +513,23 @@ def _generic_frame_xy(g: FiniteGroup, m: int):
     if not len(seeds):
         raise TheoremViolation("no element has derived centralizer equal to the center")
     x1 = int(seeds[0])
-    xs = _centralizer_picks(g, x1, m, z)
-    # G' is normal, so C(x1)G' is the subgroup the two bases span
-    reach = g.closure_members(g.basis(g.centralizer(x1).members) + g.basis(der.members))
+    c1 = g.centralizer(x1).members
+    xs = _centralizer_picks(g, x1, c1, m, z)
+    # G' is normal, so C(x1)G' is the subgroup their members generate
+    reach = g.closure_members(np.concatenate([c1, der.members]))
     out = np.setdiff1d(np.arange(g.order, dtype=np.int64), reach, assume_unique=True)
     if not len(out):
         raise TheoremViolation(
             "the seed centralizer and the derived subgroup exhaust the group")
     y1 = int(out[0])
-    ys = _centralizer_picks(g, y1, m, z)
+    ys = _centralizer_picks(g, y1, g.centralizer(y1).members, m, z)
     return _commuting_corrections(g, xs), _commuting_corrections(g, ys)
 
 
-def _centralizer_picks(g: FiniteGroup, seed: int, m: int, z: Subgroup) -> list:
-    """seed plus m-1 centralizer members independent over the center."""
+def _centralizer_picks(g: FiniteGroup, seed: int, cent, m: int, z: Subgroup) -> list:
+    """seed plus m-1 members of its centralizer cent independent over the center."""
     floor = np.append(z.members, seed)
-    picks = [seed] + g.basis(g.centralizer(seed).members, floor=floor)[:m - 1]
+    picks = [seed] + g.basis(cent, floor=floor)[:m - 1]
     if len(picks) < m:
         raise TheoremViolation("the seed centralizer cannot carry the frame")
     return picks
@@ -622,18 +625,30 @@ def _group_kappa(g: FiniteGroup, kappa) -> KappaTensor:
     return kappa
 
 
-def _word(g: FiniteGroup, elems, coeffs) -> int:
-    acc = g.identity
-    for e, c in zip(elems, coeffs):
-        acc = g.mul(acc, g.power(int(e), int(c)))
+def _power_table(g: FiniteGroup, elems, top: int) -> np.ndarray:
+    """table[c, k] = elems[k]^c for c = 0..top, one mul_many per row past 1."""
+    rows = [np.full(len(elems), g.identity, dtype=np.int64), np.asarray(elems, dtype=np.int64)]
+    while len(rows) <= top:
+        rows.append(g.mul_many(rows[-1], rows[1]))
+    return np.stack(rows[:top + 1])
+
+
+def _words(g: FiniteGroup, table: np.ndarray, coeffs) -> np.ndarray:
+    """prod_k elems[k]^c[k], multiplied in order of k, for each row c of
+    coeffs (residues mod p), read off the power table of elems."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    acc = table[coeffs[..., 0], 0]
+    for k in range(1, table.shape[1]):
+        acc = g.mul_many(acc, table[coeffs[..., k], k])
     return acc
 
 
-def _zlog(zb: ElemAbelianBasis, idx: int, what: str) -> np.ndarray:
-    try:
-        return zb.log(idx)
-    except TheoremViolation:
-        raise TheoremViolation(f"{what} lies outside the central span") from None
+def _zlog(zb: ElemAbelianBasis, vals: np.ndarray, names: list) -> np.ndarray:
+    """z-coordinates of vals, or the name of the first one outside their span."""
+    inside = zb.contains_many(vals)
+    if not inside.all():
+        raise TheoremViolation(f"{names[int(np.argmin(inside))]} lies outside the central span")
+    return zb.log_many(vals)
 
 
 def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
@@ -643,48 +658,32 @@ def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
     Brackets among the frame families and the p-th powers of x and y are all
     central; their coordinates in the z-basis are the parameters.  The mixed
     x-y brackets are measured against their kappa-word normal forms, so
-    those parameters capture only the central correction.
+    those parameters capture only the central correction.  The brackets come
+    from one commutator_many call, read in the order of the names below.
     """
     kappa = _group_kappa(g, kappa)
-    m = frame.m
-    p = g.prime
+    m, p = frame.m, g.prime
     if kappa.spec.m != m or kappa.spec.p != p:
         raise GroupError("kappa tensor does not match the group's field parameters")
     zb = ElemAbelianBasis(g, list(frame.z))
-    shape = (m, m, 2 * m)
-    alpha = np.zeros(shape, dtype=np.int64)
-    beta = np.zeros(shape, dtype=np.int64)
-    gamma = np.zeros(shape, dtype=np.int64)
-    delta = np.zeros(shape, dtype=np.int64)
-    lam = np.zeros(shape, dtype=np.int64)
-    mu = np.zeros(shape, dtype=np.int64)
-    epsilon = np.zeros((m, 2 * m), dtype=np.int64)
-    nu = np.zeros((m, 2 * m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            gamma[i, j] = _zlog(zb, g.commutator(frame.h[i], frame.x[j]),
-                                f"[h{i + 1}, x{j + 1}]")
-            delta[i, j] = _zlog(zb, g.commutator(frame.h[i], frame.y[j]),
-                                f"[h{i + 1}, y{j + 1}]")
-            alpha[i, j] = _zlog(zb, g.commutator(frame.x[i], frame.x[j]),
-                                f"[x{i + 1}, x{j + 1}]")
-            beta[i, j] = _zlog(zb, g.commutator(frame.y[i], frame.y[j]),
-                               f"[y{i + 1}, y{j + 1}]")
-            yword = _word(g, frame.y, kappa[i, j])
-            lam[i, j] = _zlog(
-                zb,
-                g.mul(g.commutator(frame.x[i], frame.y[j]),
-                      g.inv(g.commutator(frame.x[0], yword))),
-                f"[x{i + 1}, y{j + 1}] against its kappa word")
-            xword = _word(g, frame.x, kappa[i, j])
-            mu[i, j] = _zlog(
-                zb,
-                g.mul(g.commutator(frame.x[j], frame.y[i]),
-                      g.inv(g.commutator(xword, frame.y[0]))),
-                f"[x{j + 1}, y{i + 1}] against its kappa word")
-    for i in range(m):
-        epsilon[i] = _zlog(zb, g.power(frame.x[i], p), f"x{i + 1}^p")
-        nu[i] = _zlog(zb, g.power(frame.y[i], p), f"y{i + 1}^p")
+    x, y, h = (np.asarray(f, dtype=np.int64) for f in (frame.x, frame.y, frame.h))
+    i, j = np.divmod(np.arange(m * m), m)
+    words = np.asarray(kappa.entries, dtype=np.int64)[i, j]
+    xpow, ypow = _power_table(g, x, p), _power_table(g, y, p)
+    left = np.stack([h[i], h[i], x[i], y[i], x[i], x[j], np.full(m * m, x[0]), _words(g, xpow, words)])
+    right = np.stack([x[j], y[j], x[j], y[j], y[j], y[i], _words(g, ypow, words), np.full(m * m, y[0])])
+    br = g.commutator_many(left, right)
+    # lambda and mu: [x_i, y_j] over [x_1, y-word] and [x_j, y_i] over [x-word, y_1]
+    corrected = g.mul_many(br[4:6], g.inv_many(br[6:8]))
+    vals = np.concatenate([np.stack([*br[:4], *corrected], axis=1).ravel(),
+                           np.stack([xpow[p], ypow[p]], axis=1).ravel()])
+    kw = " against its kappa word"
+    names = [t.format(a=a + 1, b=b + 1) for a, b in zip(i, j) for t in (
+        "[h{a}, x{b}]", "[h{a}, y{b}]", "[x{a}, x{b}]", "[y{a}, y{b}]", "[x{a}, y{b}]" + kw,
+        "[x{b}, y{a}]" + kw)] + [t.format(a=a + 1) for a in range(m) for t in ("x{a}^p", "y{a}^p")]
+    coords = _zlog(zb, vals, names)
+    gamma, delta, alpha, beta, lam, mu = coords[:6 * m * m].reshape(m, m, 6, 2 * m).transpose(2, 0, 1, 3)
+    epsilon, nu = coords[6 * m * m:].reshape(m, 2, 2 * m).transpose(1, 0, 2)
     return PresentationParams(p=p, m=m, kappa=kappa.as_lists(),
                               alpha=alpha, beta=beta, gamma=gamma, delta=delta,
                               lam=lam, mu=mu, epsilon=epsilon, nu=nu)
@@ -693,27 +692,26 @@ def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
 def verify_kappa_commutator_relations(g: FiniteGroup, frame: GeneratorFrame,
                                       kappa: KappaTensor | None = None) -> dict:
     """Check [h_i, x_j] = [h_j, x_i] = kappa word in z_1..z_m, and the
-    y-family twin in z_{m+1}..z_{2m}, for all i, j."""
+    y-family twin in z_{m+1}..z_{2m}, for all i, j, read in the order i, j,
+    family; checked counts the relations up to the first failure."""
     kappa = _group_kappa(g, kappa)
     m = frame.m
-    checked = 0
-    for i in range(m):
-        for j in range(m):
-            for fam, zslice in (("x", frame.z[:m]), ("y", frame.z[m:])):
-                gens = frame.x if fam == "x" else frame.y
-                left = g.commutator(frame.h[i], gens[j])
-                right = g.commutator(frame.h[j], gens[i])
-                word = _word(g, zslice, kappa[i, j])
-                checked += 1
-                if not (left == right == word):
-                    return {
-                        "passed": False,
-                        "checked": checked,
-                        "counterexample": {"family": fam, "i": i + 1, "j": j + 1,
-                                           "left": int(left), "right": int(right),
-                                           "word": int(word)},
-                    }
-    return {"passed": True, "checked": checked, "counterexample": None}
+    h, z = np.asarray(frame.h, dtype=np.int64), np.asarray(frame.z, dtype=np.int64)
+    gens = np.asarray([frame.x, frame.y], dtype=np.int64).T  # gens[k, family]
+    i, j = np.divmod(np.arange(m * m), m)
+    words = np.asarray(kappa.entries, dtype=np.int64)[i, j]
+    table = _power_table(g, z, g.prime - 1)
+    word = np.stack([_words(g, table[:, :m], words), _words(g, table[:, m:], words)], axis=1)
+    left, right = g.commutator_many(np.stack([h[i], h[j]])[:, :, None],
+                                    np.stack([gens[j], gens[i]]))
+    bad = np.flatnonzero(((left != right) | (right != word)).ravel())
+    if not len(bad):
+        return {"passed": True, "checked": 2 * m * m, "counterexample": None}
+    k = int(bad[0])
+    (a, b), fam = divmod(k // 2, m), k % 2
+    return {"passed": False, "checked": k + 1, "counterexample": {
+        "family": "xy"[fam], "i": a + 1, "j": b + 1, "left": int(left.flat[k]),
+        "right": int(right.flat[k]), "word": int(word.flat[k])}}
 
 
 def verify_frame_independence(g: FiniteGroup, frame_a: GeneratorFrame,

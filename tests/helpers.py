@@ -13,7 +13,11 @@ form.  stored_rows maps each stored row to its index, with no encode,
 matrix_product_oracle multiplies the stored rows of a unitriangular matrix
 group over a prime field as integer matrices and looks the products up
 there, and theta_from_all_brackets forces an isoclinism's theta from every
-bracket pair.
+bracket pair.  image_members lists the distinct values of a commutation
+map's bracket table.  The structure oracles redo, one element, pair or
+entry at a time, what structure.py derives from a group identity or in
+one batched call: breadth_mask_oracle, distinct_centralizers_oracle,
+product_set_sizes and presentation_params_oracle.
 """
 
 import itertools
@@ -29,8 +33,10 @@ from pgf.engine import (
     FiniteGroup,
     GroupError,
     Subgroup,
+    sorted_unique,
 )
 from pgf.fields import FieldOps
+from pgf.structure import TheoremViolation
 
 
 def from_closure(name: str, backend: Backend, generator_rows: np.ndarray,
@@ -343,3 +349,96 @@ def theta_from_all_brackets(am, bm, phi):
     if lhs != bm.derived.parent.mul_many(dst[a], dst[b]).tolist():
         return None
     return dst
+
+
+def image_members(cm) -> np.ndarray:
+    """The distinct bracket values of a commutation map, sorted."""
+    return sorted_unique(cm.table)
+
+
+def breadth_mask_oracle(g: FiniteGroup) -> np.ndarray:
+    """Whether C_{G'}(x) = Z(G), for each of the n elements x, with Z(G)
+    inside G'.
+
+    [hw, x] = [h, x] for central w, so C_{G'}(x) = Z exactly when [h, x]
+    is not trivial for one h of each coset of Z in G' other than Z.  Those
+    h are picked from G' one coset at a time, and each is bracketed with
+    every element of the group.
+    """
+    zmem = g.center().members
+    covered = g.center().membership_mask()
+    idx = np.arange(g.order, dtype=np.int64)
+    mask = np.ones(g.order, dtype=bool)
+    for h in g.derived_subgroup().members.tolist():
+        if not covered[h]:
+            covered[g.mul_many(h, zmem)] = True
+            mask &= g.commutator_many(np.full(g.order, h), idx) != g.identity
+    return mask
+
+
+def distinct_centralizers_oracle(g: FiniteGroup) -> list:
+    """The members of the distinct C(x) over noncentral x, in order of
+    first x: one centralizer per element, from its own 2n products."""
+    idx = np.arange(g.order, dtype=np.int64)
+    seen: dict = {}
+    for x in np.flatnonzero(~g.center().membership_mask()).tolist():
+        row = g.mul_many(x, idx) == g.mul_many(idx, x)
+        seen.setdefault(tuple(idx[row].tolist()), None)
+    return [list(k) for k in seen]
+
+
+def product_set_sizes(g: FiniteGroup, subgroups) -> list:
+    """|AB| for each pair (A, B) of subgroups in itertools.combinations
+    order, by enumerating the |A||B| products."""
+    return [len(sorted_unique(g.mul_many(a.members[:, None], b.members[None, :])))
+            for a, b in itertools.combinations(subgroups, 2)]
+
+
+def presentation_params_oracle(g: FiniteGroup, frame, kappa) -> dict:
+    """The parameter arrays of structure.extract_presentation_params by
+    name, one scalar group call per bracket, product, inverse and power,
+    entry by entry in the engine's order.
+
+    z-coordinates come from a dict over the p^(2m) words in the z's; the
+    first value outside their span raises TheoremViolation with the
+    engine's message.
+    """
+    p, m = g.prime, frame.m
+
+    def word(elems, coeffs):
+        acc = g.identity
+        for e, c in zip(elems, coeffs):
+            acc = g.mul(acc, g.power(int(e), int(c)))
+        return acc
+
+    coords = {word(frame.z, c): list(c) for c in itertools.product(range(p), repeat=2 * m)}
+    if len(coords) != p ** (2 * m):
+        raise GroupError("the z entries are dependent")
+
+    def zlog(v, what):
+        if v not in coords:
+            raise TheoremViolation(f"{what} lies outside the central span")
+        return coords[v]
+
+    x, y, h = frame.x, frame.y, frame.h
+    out = {name: np.zeros((m, m, 2 * m), dtype=np.int64)
+           for name in ("gamma", "delta", "alpha", "beta", "lam", "mu")}
+    for i in range(m):
+        for j in range(m):
+            k = kappa[i, j]
+            out["gamma"][i, j] = zlog(g.commutator(h[i], x[j]), f"[h{i + 1}, x{j + 1}]")
+            out["delta"][i, j] = zlog(g.commutator(h[i], y[j]), f"[h{i + 1}, y{j + 1}]")
+            out["alpha"][i, j] = zlog(g.commutator(x[i], x[j]), f"[x{i + 1}, x{j + 1}]")
+            out["beta"][i, j] = zlog(g.commutator(y[i], y[j]), f"[y{i + 1}, y{j + 1}]")
+            out["lam"][i, j] = zlog(
+                g.mul(g.commutator(x[i], y[j]), g.inv(g.commutator(x[0], word(y, k)))),
+                f"[x{i + 1}, y{j + 1}] against its kappa word")
+            out["mu"][i, j] = zlog(
+                g.mul(g.commutator(x[j], y[i]), g.inv(g.commutator(word(x, k), y[0]))),
+                f"[x{j + 1}, y{i + 1}] against its kappa word")
+    out["epsilon"] = np.zeros((m, 2 * m), dtype=np.int64)
+    out["nu"] = np.zeros((m, 2 * m), dtype=np.int64)
+    for i in range(m):
+        out["epsilon"][i] = zlog(g.power(x[i], p), f"x{i + 1}^p")
+        out["nu"][i] = zlog(g.power(y[i], p), f"y{i + 1}^p")
+    return out

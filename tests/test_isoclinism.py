@@ -34,7 +34,7 @@ from pgf.isoclinism import (
 )
 from pgf.structure import recognize_u3
 
-from helpers import cayley_table, theta_from_all_brackets
+from helpers import cayley_table, image_members, theta_from_all_brackets
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ def test_commutation_map_brackets_give_corner_elements(spec):
 
 def test_commutation_map_image_fills_derived_subgroup(hmod31):
     cm = commutation_map(hmod31)
-    image = cm.image_members()
+    image = image_members(cm)
     assert np.array_equal(hmod31.closure_members(image), cm.derived.members)
     # here the bracket values already exhaust the derived subgroup
     assert np.array_equal(image, cm.derived.members)

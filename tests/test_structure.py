@@ -26,7 +26,14 @@ from pgf.structure import (
     verify_structural_suite,
 )
 
-from helpers import breadth_set
+from helpers import (
+    breadth_mask_oracle,
+    breadth_set,
+    distinct_centralizers_oracle,
+    presentation_params_oracle,
+    product_set_sizes,
+    relabel,
+)
 
 
 def build(spec):
@@ -46,6 +53,16 @@ def hmod51():
 @pytest.fixture(scope="module")
 def quint51():
     return build("quint:p=5,m=1")
+
+
+@pytest.fixture(scope="module")
+def hmod71():
+    return build("hmod:p=7,m=1")
+
+
+@pytest.fixture(scope="module")
+def quint71():
+    return build("quint:p=7,m=1")
 
 
 @pytest.fixture(scope="module")
@@ -156,20 +173,61 @@ def test_suite_report_is_json_ready(hmod31):
     assert blob["inferred"]["m"] == 1
 
 
-@pytest.mark.parametrize("step", [None, 7])
-@pytest.mark.parametrize("fixture", ["hmod31", "quint51", "hmod32"])
-def test_quotient_centralizer_scan_matches_per_element_loop(fixture, step, request, monkeypatch):
+MATRIX = ["hmod31", "quint31", "hmod51", "quint51", "hmod71", "quint71", "hmod32", "quint32"]
+
+
+@pytest.mark.parametrize("fixture", MATRIX)
+def test_quotient_centralizer_scan_matches_per_element_loop(fixture, request):
     g = request.getfixturevalue(fixture)
     qz = g.quotient(g.center())
-    if step:  # chunks of 7 noncentral elements, the last one short
-        monkeypatch.setattr(pgf.structure, "CHUNK_PRODUCTS", step * qz.order)
-    seen: dict = {}
-    for x in np.flatnonzero(~qz.center().membership_mask()):
-        c = qz.centralizer(int(x))
-        seen.setdefault(tuple(c.members.tolist()), c)
     scanned = pgf.structure._distinct_noncentral_centralizers(qz)
-    assert [c.members.tolist() for c in scanned] == [list(k) for k in seen]
+    assert [c.members.tolist() for c in scanned] == distinct_centralizers_oracle(qz)
     assert all(c.parent is qz for c in scanned)
+
+
+@pytest.mark.parametrize("spec, swap", [("u3:p=3,m=1", None), ("hmod:p=3,m=1", None),
+                                        ("hmat:p=3,m=1", None), ("hmat:p=3,m=1", (1, 3))])
+def test_centralizer_walk_matches_per_element_centralizers(spec, swap):
+    # hmat:p=3,m=1 has nonabelian centralizers, which settle no element;
+    # there C(3) is abelian of order 27 and holds 1, whose centralizer is
+    # larger, so with 1 and 3 swapped the walk must not skip the new 3
+    g = build(spec)
+    if swap:
+        perm = np.arange(g.order)
+        perm[list(swap)] = swap[::-1]
+        g = relabel(g, perm)
+    cents = pgf.structure._distinct_noncentral_centralizers(g)
+    assert [c.members.tolist() for c in cents] == distinct_centralizers_oracle(g)
+    noncentral = np.flatnonzero(~g.center().membership_mask()).tolist()
+    first = next((x for x in noncentral if not g.centralizer(x).is_abelian()), None)
+    assert pgf.structure._first_nonabelian_centralizer(g) == first
+    assert (first is None) == (spec != "hmat:p=3,m=1")
+
+
+@pytest.mark.parametrize("fixture", MATRIX)
+def test_breadth_mask_matches_the_per_element_oracle(fixture, request):
+    g = request.getfixturevalue(fixture)
+    mask = pgf.structure._derived_centralizer_is_center_mask(g)
+    assert np.array_equal(mask, breadth_mask_oracle(g))
+
+
+@pytest.mark.parametrize("fixture", MATRIX)
+def test_centralizer_pairs_match_enumerated_products(fixture, request):
+    g = request.getfixturevalue(fixture)
+    qz = g.central_quotient()
+    cents = pgf.structure._distinct_noncentral_centralizers(qz)
+    # pairs that fill G/Z, and pairs with the center and G' that do not
+    subs = cents[:3] + [qz.center(), qz.derived_subgroup()]
+    enumerated = product_set_sizes(qz, subs)
+    pairs = list(itertools.combinations(range(len(subs)), 2))
+    formula = [subs[a].order * subs[b].order
+               // len(np.intersect1d(subs[a].members, subs[b].members)) for a, b in pairs]
+    assert enumerated == formula
+    assert [size for (a, b), size in zip(pairs, enumerated) if b < 3] == [qz.order] * 3
+    assert min(enumerated) < qz.order
+    check = verify_structural_suite(g).checks["quotient_centralizer_pairs"]
+    assert check["passed"] == (product_set_sizes(qz, cents) == [qz.order] * check["pairs_checked"])
+    assert check["passed"]
 
 
 @pytest.mark.parametrize("spec", ["hmod:p=3,m=1", "quint:p=3,m=1"])
@@ -340,6 +398,39 @@ def test_frame_validate_rejects_non_generating_xy(quint31):
         bad.validate()
 
 
+def normalized_frame(g, xs, ys):
+    """The frame of xs, ys with h and z set by the normalizations, unchecked."""
+    m = len(xs)
+    hs = [g.commutator(xs[0], ys[i]) for i in range(m)]
+    zs = [g.commutator(hs[0], v) for v in list(xs) + list(ys)]
+    return GeneratorFrame(g, xs, ys, hs, zs)
+
+
+@pytest.mark.parametrize("fixture", ["quint32", "hmod32"])
+def test_frame_validate_reports_the_first_failure_in_checking_order(fixture, request):
+    # the relations are read i by i ([x1, y_i], [h1, x_i], [h1, y_i]), then
+    # the commuting pairs j by j (x's before y's), then the spans
+    g = request.getfixturevalue(fixture)
+    f = lift_generator_frame(g, "coordinate")
+    x1, x2, y1, y2 = f.x + f.y
+    cases = [
+        (GeneratorFrame(g, f.x, f.y, (f.h[0], f.z[0]), f.z), "[x1, y2] is not h2"),
+        (GeneratorFrame(g, f.x, f.y, f.h, (f.z[0], f.z[0]) + f.z[2:]), "[h1, x2] is not z2"),
+        (GeneratorFrame(g, f.x, f.y, f.h, f.z[:2] + (f.z[3], f.z[3])), "[h1, y1] is not z3"),
+        (GeneratorFrame(g, f.x, f.y, (f.h[0], f.z[0]), (f.z[1],) + f.z[1:]), "[h1, x1] is not z1"),
+        (GeneratorFrame(g, f.x, f.y, (f.h[0], f.z[0]), f.z[:1] + (f.z[0],) + f.z[2:]),
+         "[x1, y2] is not h2"),
+        (GeneratorFrame(g, (x1, g.mul(x2, f.h[0])), f.y, f.h, f.z), "x1 does not commute with x2"),
+        (normalized_frame(g, (x1, g.mul(x2, y1)), f.y), "x1 does not commute with x2"),
+        (normalized_frame(g, f.x, (y1, g.mul(y2, x1))), "y1 does not commute with y2"),
+        (GeneratorFrame(g, f.x, f.y, f.h, (f.z[0], f.z[0], f.z[2], f.z[3])), "[h1, x2] is not z2"),
+    ]
+    for frame, message in cases:
+        with pytest.raises(GroupError) as err:
+            frame.validate()
+        assert str(err.value) == message
+
+
 # -- parameter extraction --------------------------------------------------
 
 
@@ -388,6 +479,39 @@ def test_extraction_rejects_foreign_kappa(quint31):
         extract_presentation_params(quint31, frame, wrong)
 
 
+@pytest.mark.parametrize("fixture", MATRIX)
+def test_extraction_matches_the_scalar_oracle(fixture, request):
+    g = request.getfixturevalue(fixture)
+    kappa = structure_constants(g.field)
+    frame = lift_generator_frame(g, "coordinate")
+    frames = [frame, pgf.structure.central_shift_frame(g, frame, seed=3)]
+    if frame.m == 1:
+        frames.append(lift_generator_frame(g, "generic"))
+    for f in frames:
+        params = extract_presentation_params(g, f, kappa)
+        want = presentation_params_oracle(g, f, kappa)
+        for name, arr in want.items():
+            assert np.array_equal(getattr(params, name), arr), name
+
+
+@pytest.mark.parametrize("fixture", ["quint32", "hmod32"])
+def test_extraction_names_the_first_value_outside_the_span(fixture, request):
+    g = request.getfixturevalue(fixture)
+    kappa = structure_constants(g.field)
+    f = lift_generator_frame(g, "coordinate")
+    # a basis of a noncentral subgroup: [h1, x1] = z1 stays in its span
+    for z, first in (((f.z[0], f.h[0], f.z[2], f.z[3]), "[h1, x2]"),
+                     ((f.z[0], f.z[1], f.z[2], f.h[0]), "[h1, y2]")):
+        bad = GeneratorFrame(g, f.x, f.y, f.h, z)
+        message = f"{first} lies outside the central span"
+        with pytest.raises(TheoremViolation) as err:
+            extract_presentation_params(g, bad, kappa)
+        assert str(err.value) == message
+        with pytest.raises(TheoremViolation) as err:
+            presentation_params_oracle(g, bad, kappa)
+        assert str(err.value) == message
+
+
 def test_params_as_dict_shape(quint31):
     params = extract_presentation_params(quint31, lift_generator_frame(quint31, "coordinate"))
     blob = json.loads(json.dumps(params.as_dict()))
@@ -417,6 +541,23 @@ def test_kappa_relations_counterexample(quint32):
     rep = verify_kappa_commutator_relations(quint32, swapped)
     assert not rep["passed"]
     assert rep["counterexample"] is not None
+
+
+def test_kappa_relations_report_the_first_failure(quint32):
+    # relations run i, j, then family x before y; checked counts up to
+    # the first failure.  Pinned values: the one-relation-at-a-time loop
+    # reports the same on these frames
+    g, f = quint32, lift_generator_frame(quint32, "coordinate")
+    swapped = GeneratorFrame(g, f.x, f.y, f.h, f.z[:2] + (f.z[3], f.z[2]))
+    assert verify_kappa_commutator_relations(g, swapped) == {
+        "passed": False, "checked": 2,
+        "counterexample": {"family": "y", "i": 1, "j": 1, "left": 6561, "right": 6561,
+                           "word": 19683}}
+    mixed = GeneratorFrame(g, f.x, f.y, (f.h[0], g.mul(f.h[1], f.h[0])), f.z)
+    assert verify_kappa_commutator_relations(g, mixed) == {
+        "passed": False, "checked": 3,
+        "counterexample": {"family": "x", "i": 1, "j": 2, "left": 4374, "right": 5832,
+                           "word": 4374}}
 
 
 # -- frame independence ----------------------------------------------------
