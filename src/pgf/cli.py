@@ -41,8 +41,6 @@ def _add_common(sp: argparse.ArgumentParser):
                     help="directory for cached results (default: $PGF_CACHE_DIR, else no cache)")
     sp.add_argument("--force", action="store_true", help="recompute cached results")
     _add_pretty(sp)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled checks; exhaustive checks ignore it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pgf", description="finite p-group laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # invariants draw no random numbers, so the command takes no --seed
     p = sub.add_parser("invariants", help="order, class, conjugate type of a group")
     p.add_argument("spec", help="group spec, e.g. hmod:p=3,m=1")
     _add_common(p)
@@ -58,6 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("suite", choices=SUITES + ("all",))
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed that picks the central-shift frame of the frame independence check")
 
     # an isoclinism decision neither caches nor samples, so it takes
     # neither --cache-dir nor --seed
@@ -167,7 +168,7 @@ def _presentation_checks(g: FiniteGroup, profile: st.CheckReport,
     others.append(("central_shift", st.central_shift_frame(g, frame, seed=seed)))
     mismatched = {}
     for label, other in others:
-        res = st.verify_frame_independence(g, frame, other)
+        res = params.compare(st.extract_presentation_params(g, other))
         if not res["passed"]:
             mismatched[label] = res["mismatched"]
     checks.append({"name": "presentation:frame_independence",

@@ -95,9 +95,6 @@ class MatrixBackend(Backend):
             sign ^= 1
         return acc.T
 
-    def describe_row(self, row):
-        return "(" + ",".join(str(int(v)) for v in row) + ")"
-
 
 # packed slots of the 5x5 case, by name: a=(1,0)=0, c=(2,0)=1, b=(2,1)=2,
 # d=(3,0)=3, ab-c=(3,1)=4, a=(3,2)=5, f=(4,0)=6, e=(4,1)=7, c=(4,2)=8, b=(4,3)=9

@@ -2,11 +2,12 @@
 
 The commutation map of a group descends to its central quotient; two groups
 are isoclinic when an isomorphism pair (phi on the central quotients, theta
-on the derived subgroups) makes the two commutation maps commute.  The
-decision procedures here search phi by backtracking over generator images;
-theta is never searched, it is forced by phi through the commuting square
-on a basis of the derived subgroup, and verify_isoclinism_witness judges
-the whole witness.
+on the derived subgroups) makes the two commutation maps commute.  A map is
+stored as the brackets of every coset with the generators of G/Z, and the
+square is proved on those edges.  The decision procedures search phi by
+backtracking over generator images; theta is never searched, it is forced
+by phi through the square on a basis of the derived subgroup, and
+verify_isoclinism_witness judges the whole witness.
 """
 
 from __future__ import annotations
@@ -56,33 +57,34 @@ class _Budget:
 
 @dataclass(frozen=True)
 class CommutationMap:
-    """The bracket table over the central quotient.
+    """The bracket over the central quotient, on generator columns.
 
-    table[i, j] is the parent element index of [x, y] for any
-    representatives x, y of cosets i, j, stored as int32 (the indices of
-    an enumerated universe, far below 2**31); independence of the choice
-    is proved on construction.  basis holds the least-index bracket values
-    that generate G', positions one flat table position of each, so
-    table.flat[positions] == basis.
+    gens = _search_generators(quotient) generate G/Z, and columns[i, k] is
+    the parent element index of [x, s] for any representatives x, s of
+    cosets i and gens[k]; independence of the choice is proved on
+    construction.  basis holds the least-index column values that generate
+    G', positions one flat column position of each, so
+    columns.flat[positions] == basis.
     """
 
     quotient: FiniteGroup
     derived: Subgroup
-    table: np.ndarray
+    gens: np.ndarray
+    columns: np.ndarray
     basis: np.ndarray
     positions: np.ndarray
 
 
 def commutation_map(g: FiniteGroup) -> CommutationMap:
-    """The bracket over coset leaders of the central quotient, built once
-    and stored on g; its table is read-only."""
+    """The bracket of coset leaders of the central quotient with its
+    generators, built once and stored on g; its columns are read-only."""
     return g.remember("commutation_map", lambda: _build_commutation_map(g))
 
 
 def _build_commutation_map(g: FiniteGroup) -> CommutationMap:
     # [xz, yw] = [x, y] for central z, w, while z in Z not commuting with x
-    # gives [z, x] != [e, x]; so the table is well defined on the cosets of
-    # Z exactly when a basis of Z commutes with every generator of g
+    # gives [z, x] != [e, x]; so the bracket is well defined on the cosets
+    # of Z exactly when a basis of Z commutes with every generator of g
     zb = np.asarray(g.basis(g.center().members), dtype=np.int64)
     gens = np.asarray(g.generators, dtype=np.int64)
     bad = np.argwhere(g.mul_many(zb[:, None], gens[None, :]) != g.mul_many(gens[None, :], zb[:, None]))
@@ -92,19 +94,20 @@ def _build_commutation_map(g: FiniteGroup) -> CommutationMap:
                          f"does not commute with generator {gens[s]}")
     qz = g.central_quotient()
     leaders = qz.backend.leaders
-    table = g.commutator_many(leaders[:, None], leaders[None, :]).astype(np.int32)
+    qgens = np.asarray(_search_generators(qz), dtype=np.int64)
+    columns = g.commutator_many(leaders[:, None], leaders[qgens][None, :])
     der = g.derived_subgroup()
-    values = sorted_unique(table)
+    values = sorted_unique(columns)
     if not bool(np.all(der.contains_many(values))):
         raise GroupError("bracket table leaves the derived subgroup")
-    if np.any(np.diagonal(table) != g.identity):
-        raise GroupError("bracket of a coset with itself must be trivial")
-    # every commutator [x, y] is a table value, so the values generate G'
+    # the [x, s] generate a normal subgroup N ([x, s]^y = [xy, s][y, s]^-1),
+    # and G/N is abelian (Z and the s generate G and are central mod N), so
+    # the values generate G'
     basis = np.asarray(g.basis(values), dtype=np.int64)
-    flat = table.ravel()
+    flat = columns.ravel()
     positions = np.array([int(np.argmax(flat == b)) for b in basis], dtype=np.int64)
-    table.setflags(write=False)
-    return CommutationMap(qz, der, table, basis, positions)
+    columns.setflags(write=False)
+    return CommutationMap(qz, der, qgens, columns, basis, positions)
 
 
 def _fingerprints(g: FiniteGroup) -> np.ndarray:
@@ -319,12 +322,6 @@ class IsoclinismWitness:
         lookup[self.theta_src] = self.theta_dst
         return lookup[idx]
 
-    def inverted(self) -> "IsoclinismWitness":
-        phi_inv = np.empty_like(self.phi)
-        phi_inv[self.phi] = np.arange(len(self.phi), dtype=np.int64)
-        order = np.argsort(self.theta_dst, kind="stable")
-        return IsoclinismWitness(phi_inv, self.theta_dst[order], self.theta_src[order])
-
     def as_dict(self) -> dict:
         return {
             "phi": self.phi.tolist(),
@@ -352,14 +349,16 @@ class IsoclinismResult:
 def _force_theta(am: CommutationMap, bm: CommutationMap, phi: np.ndarray):
     """theta forced by phi through the commuting square; None on a conflict.
 
-    theta([x, y]) = [phi(x), phi(y)] fixes theta on am.basis, each value
-    read at its table position, and _induced_map extends that to
-    <am.basis> = G'.  Whether the result is a bijection that makes the
-    square commute is left to verify_isoclinism_witness.
+    theta([x, s]) = [phi(x), phi(s)] fixes theta on am.basis, each value
+    read at its column position and its image bracketed on the leaders of
+    H/Z, and _induced_map extends that to <am.basis> = G'.  Whether the
+    result is a bijection that makes the square commute is left to
+    verify_isoclinism_witness.
     """
-    i, j = np.divmod(am.positions, len(phi))
-    amap = _induced_map(am.derived.parent, bm.derived.parent, am.basis.tolist(),
-                        bm.table[phi[i], phi[j]].tolist())
+    i, k = np.divmod(am.positions, len(am.gens))
+    h, bl = bm.derived.parent, bm.quotient.backend.leaders
+    images = h.commutator_many(bl[phi[i]], bl[phi[am.gens[k]]])
+    amap = _induced_map(am.derived.parent, h, am.basis.tolist(), images.tolist())
     if amap is None:
         return None
     src = am.derived.members
@@ -372,8 +371,14 @@ def verify_isoclinism_witness(g: FiniteGroup, h: FiniteGroup,
     g and h (a rebuild would rerun the same deterministic code): phi with
     verify_isomorphism on the central quotients, theta as a bijection of
     the derived subgroups that respects products on the edges of the
-    map's basis of G' (engine.is_homomorphism), and theta([x, y]) =
-    [phi(x), phi(y)] on every pair of cosets."""
+    map's basis of G' (engine.is_homomorphism), and theta([x, s]) =
+    [phi(x), phi(s)] on the columns, x in G/Z and s in am.gens.
+
+    The columns prove the square on every pair x, y, y a word in the gens:
+    [x, ab] = [x, b][x, a][[x, a], b], and [phi(x), phi(a)] lies in the
+    coset phi([x, a]), so the square on (x, a), (x, b) and ([x, a], b)
+    gives it on (x, ab), by induction on word length.
+    """
     am = commutation_map(g)
     bm = commutation_map(h)
     if not verify_isomorphism(am.quotient, bm.quotient, witness.phi):
@@ -383,8 +388,9 @@ def verify_isoclinism_witness(g: FiniteGroup, h: FiniteGroup,
             and np.array_equal(np.sort(witness.theta_dst), bm.derived.members)
             and is_homomorphism(g, h, src, am.basis, witness.theta_dst)):
         return False
-    forced = bm.table[witness.phi][:, witness.phi]
-    return bool(np.array_equal(witness.theta_of(am.table), forced))
+    bl = bm.quotient.backend.leaders
+    forced = h.commutator_many(bl[witness.phi][:, None], bl[witness.phi[am.gens]][None, :])
+    return bool(np.array_equal(witness.theta_of(am.columns), forced))
 
 
 def are_isoclinic(g: FiniteGroup, h: FiniteGroup,

@@ -109,9 +109,6 @@ class ElemAbelianBasis:
                 f"element {i} lies outside the span of the basis")
         return self._coords[np.searchsorted(self._elems, idx)]
 
-    def log(self, i: int) -> np.ndarray:
-        return self.log_many(np.array([i], dtype=np.int64))[0]
-
 
 def verify_class3_profile(g: FiniteGroup) -> CheckReport:
     """Certify class 3, conjugate type (1, p^(2m)), and Z(G) <= G'.
@@ -601,6 +598,14 @@ class PresentationParams:
                     raise TheoremViolation(
                         f"beta[{i}][{j}] = {self.beta[i, j].tolist()} leaves the last m z-coordinates")
 
+    def compare(self, other: "PresentationParams") -> dict:
+        """Compare everything except epsilon and nu, which legitimately
+        depend on the frame."""
+        a, b = self.as_dict(), other.as_dict()
+        mismatched = [n for n in ("alpha", "beta", "gamma", "delta", "lambda", "mu") if a[n] != b[n]]
+        return {"passed": not mismatched, "mismatched": mismatched,
+                "epsilon_agrees": a["epsilon"] == b["epsilon"], "nu_agrees": a["nu"] == b["nu"]}
+
     def as_dict(self) -> dict:
         return {
             "p": self.p,
@@ -717,20 +722,8 @@ def verify_kappa_commutator_relations(g: FiniteGroup, frame: GeneratorFrame,
 def verify_frame_independence(g: FiniteGroup, frame_a: GeneratorFrame,
                               frame_b: GeneratorFrame,
                               kappa: KappaTensor | None = None) -> dict:
-    """Extract parameters from both frames and compare everything except
-    epsilon and nu, which legitimately depend on the frame."""
+    """Extract parameters from both frames and compare them
+    (PresentationParams.compare)."""
     kappa = _group_kappa(g, kappa)
-    pa = extract_presentation_params(g, frame_a, kappa)
-    pb = extract_presentation_params(g, frame_b, kappa)
-    mismatched = [
-        name for name, attr in (("alpha", "alpha"), ("beta", "beta"),
-                                ("gamma", "gamma"), ("delta", "delta"),
-                                ("lambda", "lam"), ("mu", "mu"))
-        if not np.array_equal(getattr(pa, attr), getattr(pb, attr))
-    ]
-    return {
-        "passed": not mismatched,
-        "mismatched": mismatched,
-        "epsilon_agrees": bool(np.array_equal(pa.epsilon, pb.epsilon)),
-        "nu_agrees": bool(np.array_equal(pa.nu, pb.nu)),
-    }
+    return extract_presentation_params(g, frame_a, kappa).compare(
+        extract_presentation_params(g, frame_b, kappa))

@@ -12,12 +12,16 @@ and quintuple_commutator_oracle evaluates the quint commutator in closed
 form.  stored_rows maps each stored row to its index, with no encode,
 matrix_product_oracle multiplies the stored rows of a unitriangular matrix
 group over a prime field as integer matrices and looks the products up
-there, and theta_from_all_brackets forces an isoclinism's theta from every
-bracket pair.  image_members lists the distinct values of a commutation
-map's bracket table.  The structure oracles redo, one element, pair or
-entry at a time, what structure.py derives from a group identity or in
-one batched call: breadth_mask_oracle, distinct_centralizers_oracle,
-product_set_sizes and presentation_params_oracle.
+there.  bracket_table tabulates every bracket of a commutation map's
+coset leaders, the n^2 pairs its generator columns stand for;
+theta_from_all_brackets forces an isoclinism's theta from every pair of
+that table, square_on_all_pairs checks a witness's commuting square on
+every pair, image_members lists the table's distinct values, and inverted
+turns a witness G -> H into one H -> G.  The structure oracles redo, one
+element, pair or entry at a time, what structure.py derives from a group
+identity or in one batched call: breadth_mask_oracle,
+distinct_centralizers_oracle, product_set_sizes and
+presentation_params_oracle.
 """
 
 import itertools
@@ -322,6 +326,13 @@ def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
     return [index.get(tuple(row)) for row in prod[:, r, c].tolist()]
 
 
+def bracket_table(cm) -> np.ndarray:
+    """table[i, j] = [x, y] for the leaders x, y of cosets i, j of the
+    central quotient of a commutation map: all n^2 brackets."""
+    leaders = cm.quotient.backend.leaders
+    return cm.derived.parent.commutator_many(leaders[:, None], leaders[None, :])
+
+
 def theta_from_all_brackets(am, bm, phi):
     """theta forced by phi through every pair of cosets, as the images of
     am.derived.members, or None: the all-brackets construction, an oracle
@@ -334,8 +345,8 @@ def theta_from_all_brackets(am, bm, phi):
     products of G'.
     """
     theta: dict = {}
-    forced = bm.table[np.ix_(phi, phi)]
-    for x, y in zip(am.table.ravel().tolist(), forced.ravel().tolist()):
+    forced = bracket_table(bm)[np.ix_(phi, phi)]
+    for x, y in zip(bracket_table(am).ravel().tolist(), forced.ravel().tolist()):
         if theta.setdefault(x, y) != y:
             return None
     src = am.derived.members
@@ -351,9 +362,24 @@ def theta_from_all_brackets(am, bm, phi):
     return dst
 
 
+def square_on_all_pairs(am_table, bm_table, witness) -> bool:
+    """theta([x, y]) = [phi(x), phi(y)] on every pair of cosets, read off
+    the two bracket_tables."""
+    return bool(np.array_equal(witness.theta_of(am_table),
+                               bm_table[np.ix_(witness.phi, witness.phi)]))
+
+
 def image_members(cm) -> np.ndarray:
     """The distinct bracket values of a commutation map, sorted."""
-    return sorted_unique(cm.table)
+    return sorted_unique(bracket_table(cm))
+
+
+def inverted(witness):
+    """The isoclinism witness H -> G undoing a witness G -> H."""
+    phi_inv = np.empty_like(witness.phi)
+    phi_inv[witness.phi] = np.arange(len(witness.phi), dtype=np.int64)
+    order = np.argsort(witness.theta_dst, kind="stable")
+    return type(witness)(phi_inv, witness.theta_dst[order], witness.theta_src[order])
 
 
 def breadth_mask_oracle(g: FiniteGroup) -> np.ndarray:

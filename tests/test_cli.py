@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from pgf import report as rp
+from pgf import structure as st
 from pgf.cli import main
 
 
@@ -61,6 +62,17 @@ def test_bad_spec_exit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--seed", "5"]], ids=["seed"])
+def test_invariants_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
+    # the invariants draw no random numbers, so a seed would do nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "u3:p=3,m=1", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "hmod:p=3,m=1", "everything"])
@@ -86,6 +98,23 @@ def test_verify_all_passes(capsys, tmp_path, monkeypatch):
     params = json.loads(files[0].read_text())
     assert params["spec"] == "hmod:p=3,m=1"
     assert "lambda" in params["params"]
+
+
+@pytest.mark.parametrize("spec,frames", [("hmod:p=3,m=1", 3), ("hmod:p=3,m=2", 2)])
+def test_verify_all_extracts_each_frame_once(capsys, tmp_path, monkeypatch, spec, frames):
+    # the coordinate frame, the central shift and, at m = 1, the generic
+    # frame: one parameter extraction each
+    calls = []
+    extract = st.extract_presentation_params
+    monkeypatch.setattr(st, "extract_presentation_params",
+                        lambda *args, **kw: calls.append(1) or extract(*args, **kw))
+    monkeypatch.chdir(tmp_path)
+    code, d, _ = run_json(capsys, ["verify", spec, "all"])
+    assert code == 0
+    assert len(calls) == frames
+    by_name = {c["name"]: c for c in d["checks"]}
+    assert by_name["presentation:frame_independence"]["witness"] == {
+        "frames_compared": frames - 1, "mismatched": {}}
 
 
 def test_verify_class2_group_fails_profile(capsys):

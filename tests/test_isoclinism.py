@@ -23,6 +23,7 @@ from pgf.isoclinism import (
     SearchConfig,
     _build_commutation_map,
     _force_theta,
+    _search_bijections,
     _search_generators,
     _single_valued,
     are_isoclinic,
@@ -34,7 +35,14 @@ from pgf.isoclinism import (
 )
 from pgf.structure import recognize_u3
 
-from helpers import cayley_table, image_members, theta_from_all_brackets
+from helpers import (
+    bracket_table,
+    cayley_table,
+    image_members,
+    inverted,
+    square_on_all_pairs,
+    theta_from_all_brackets,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,9 +71,11 @@ def u3_times_c3():
 def test_commutation_map_identity_row_and_column(u3_31):
     cm = commutation_map(u3_31)
     e = cm.quotient.identity
-    assert np.all(cm.table[e, :] == u3_31.identity)
-    assert np.all(cm.table[:, e] == u3_31.identity)
-    assert np.all(np.diagonal(cm.table) == u3_31.identity)
+    d = len(cm.gens)
+    assert cm.columns.shape == (cm.quotient.order, d)
+    assert np.array_equal(cm.columns, bracket_table(cm)[:, cm.gens])
+    assert np.all(cm.columns[e, :] == u3_31.identity)
+    assert np.all(cm.columns[cm.gens, np.arange(d)] == u3_31.identity)
 
 
 @pytest.mark.parametrize("spec", ["u3:p=3,m=1", "u3:p=3,m=2"])
@@ -79,7 +89,7 @@ def test_commutation_map_brackets_give_corner_elements(spec):
     m = g.field.m
     for i in range(m):
         for j in range(m):
-            got = cm.table[coset[named["x"][i]], coset[named["y"][j]]]
+            got = bracket_table(cm)[coset[named["x"][i]], coset[named["y"][j]]]
             assert got == named["h"][i + j]
 
 
@@ -89,6 +99,8 @@ def test_commutation_map_image_fills_derived_subgroup(hmod31):
     assert np.array_equal(hmod31.closure_members(image), cm.derived.members)
     # here the bracket values already exhaust the derived subgroup
     assert np.array_equal(image, cm.derived.members)
+    # the generator columns alone generate it
+    assert np.array_equal(hmod31.closure_members(cm.columns.ravel()), cm.derived.members)
 
 
 def test_commutation_map_resampling_catches_a_noncentral_subgroup():
@@ -111,13 +123,14 @@ def test_stored_commutation_map_equals_a_fresh_build(spec):
     assert commutation_map(g) is cm
     assert g.central_quotient() is cm.quotient
     fresh = _build_commutation_map(build_group(spec))
-    assert np.array_equal(cm.table, fresh.table)
+    assert np.array_equal(cm.gens, fresh.gens)
+    assert np.array_equal(cm.columns, fresh.columns)
     assert np.array_equal(cm.quotient.backend.leaders, fresh.quotient.backend.leaders)
     assert np.array_equal(cm.derived.members, fresh.derived.members)
     assert np.array_equal(cm.basis, fresh.basis)
-    # the basis is made of bracket values, found at its positions, and
+    # the basis is made of column values, found at its positions, and
     # generates the derived subgroup
-    assert np.array_equal(cm.table.flat[cm.positions], cm.basis)
+    assert np.array_equal(cm.columns.flat[cm.positions], cm.basis)
     assert np.array_equal(g.closure_members(cm.basis), cm.derived.members)
 
 
@@ -125,24 +138,7 @@ def test_commutation_map_stored_once_per_resampling(u3_31):
     cm = commutation_map(u3_31)
     assert commutation_map(u3_31) is cm
     with pytest.raises(ValueError):
-        cm.table[0, 0] = u3_31.identity
-
-
-def test_int32_commutation_table_reads_as_int64(hmod31, quint31):
-    am, bm = commutation_map(hmod31), commutation_map(quint31)
-    assert am.table.dtype == bm.table.dtype == np.int32
-    res = are_isoclinic(hmod31, quint31)
-    assert res.outcome == "isoclinic"
-    w = res.witness
-    src, dst = am.table.ravel(), bm.table[w.phi][:, w.phi].ravel()
-    narrow = _single_valued(src, dst)
-    wide = _single_valued(src.astype(np.int64), dst.astype(np.int64))
-    assert all(np.array_equal(x, y) for x, y in zip(narrow, wide))
-    assert np.array_equal(narrow[0], am.derived.members)
-    assert _single_valued(np.array([4, 4], dtype=np.int32), np.array([1, 2], dtype=np.int32)) is None
-    assert np.array_equal(w.theta_of(am.table), w.theta_of(am.table.astype(np.int64)))
-    assert np.array_equal(w.theta_of(am.table), dst.reshape(am.table.shape))
-    assert verify_isoclinism_witness(hmod31, quint31, w)
+        cm.columns[0, 0] = u3_31.identity
 
 
 def test_commutation_map_failed_build_is_not_stored():
@@ -348,9 +344,9 @@ def test_matrix_quotient_isoclinic_to_quintuple(hmod31, quint31):
 
 def test_witness_inversion_is_symmetric(u3_31, u3_times_c3):
     res = are_isoclinic(u3_31, u3_times_c3)
-    inv = res.witness.inverted()
+    inv = inverted(res.witness)
     assert verify_isoclinism_witness(u3_times_c3, u3_31, inv)
-    back = inv.inverted()
+    back = inverted(inv)
     assert np.array_equal(back.phi, res.witness.phi)
     assert np.array_equal(back.theta_src, res.witness.theta_src)
     assert np.array_equal(back.theta_dst, res.witness.theta_dst)
@@ -408,6 +404,57 @@ def test_forced_theta_matches_the_all_brackets_oracle(built, specs):
     assert theta_from_all_brackets(am, bm, bad) is None
     forced = _force_theta(am, bm, bad)
     assert forced is None or not verify_isoclinism_witness(g, h, forced)
+    # _induced_map drops an assignment through _single_valued, which
+    # returns None when one source carries two images
+    assert _single_valued(np.array([4, 4], dtype=np.int32), np.array([1, 2], dtype=np.int32)) is None
+    src, dst = _single_valued(np.array([4, 2, 4]), np.array([1, 3, 1]))
+    assert src.tolist() == [2, 4] and dst.tolist() == [3, 1]
+
+
+# a pair and the node budget of its phi enumeration: the whole tree at
+# (3,1), its first 100 nodes at (5,1) and 200 at (3,2), where two of the
+# three forced theta fail the square
+COLUMN_PAIRS = [(("u3:p=3,m=1", "xab:u3:p=3,m=1,k=1"), 10 ** 6),
+                (("hmod:p=3,m=1", "quint:p=3,m=1"), 10 ** 6),
+                (("hmod:p=5,m=1", "quint:p=5,m=1"), 100),
+                (("hmod:p=3,m=2", "quint:p=3,m=2"), 200)]
+
+
+@pytest.mark.parametrize("specs,nodes", COLUMN_PAIRS, ids=["/".join(s) for s, _ in COLUMN_PAIRS])
+def test_column_verdict_matches_the_full_table_verdict(built, specs, nodes):
+    # every phi the search yields, with theta forced, with theta^2 (a
+    # bijective homomorphism that only the square rejects) and with the
+    # theta forced by each column alone (at (3,2), some of those meet the
+    # square on their own column and fail it on another): the square on
+    # the generator columns and on all pairs of the bracket table agree
+    g, h = map(built, specs)
+    am, bm = commutation_map(g), commutation_map(h)
+    ta, tb = bracket_table(am), bracket_table(bm)
+    phis: list = []
+    try:
+        _search_bijections(am.quotient, bm.quotient, isoclinism._Budget(SearchConfig(max_nodes=nodes)),
+                           lambda phi: phis.append(phi.copy()) or False)
+    except isoclinism._BudgetExceeded:
+        pass
+    verdicts = []
+    for phi in phis:
+        w = _force_theta(am, bm, phi)
+        if w is None:
+            assert theta_from_all_brackets(am, bm, phi) is None
+            continue
+        cands = [w, type(w)(phi, w.theta_src, h.power_many(w.theta_dst, 2))]
+        bl = bm.quotient.backend.leaders
+        for k, s in enumerate(am.gens):
+            amap = isoclinism._induced_map(g, h, am.columns[:, k].tolist(),
+                                           h.commutator_many(bl[phi], bl[phi[s]]).tolist())
+            if amap is not None:
+                cands.append(type(w)(phi, w.theta_src, amap[w.theta_src]))
+        for cand in cands:
+            theta_ok = (np.array_equal(np.sort(cand.theta_dst), bm.derived.members)
+                        and is_homomorphism(g, h, cand.theta_src, am.basis, cand.theta_dst))
+            verdicts.append(verify_isoclinism_witness(g, h, cand))
+            assert verdicts[-1] == (theta_ok and square_on_all_pairs(ta, tb, cand))
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_search_cap_requires_override(monkeypatch, u3_31, u3_times_c3):
