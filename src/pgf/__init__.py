@@ -21,7 +21,6 @@ from .structure import (
     central_shift_frame,
     extract_presentation_params,
     verify_kappa_commutator_relations,
-    verify_frame_independence,
 )
 from .isoclinism import (
     SearchConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "central_shift_frame",
     "extract_presentation_params",
     "verify_kappa_commutator_relations",
-    "verify_frame_independence",
     "SearchConfig",
     "commutation_map",
     "are_isomorphic",

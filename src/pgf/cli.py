@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pgf", description="finite p-group laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # invariants draw no random numbers, so the command takes no --seed
+    # no command draws random numbers, so none takes a seed; invariants and
+    # verify cache their reports and take --cache-dir and --force
     p = sub.add_parser("invariants", help="order, class, conjugate type of a group")
     p.add_argument("spec", help="group spec, e.g. hmod:p=3,m=1")
     _add_common(p)
@@ -57,19 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("suite", choices=SUITES + ("all",))
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed that picks the central-shift frame of the frame independence check")
 
-    # an isoclinism decision neither caches nor samples, so it takes
-    # neither --cache-dir nor --seed
+    # an isoclinism decision is never cached, so it takes no --cache-dir;
+    # its --force lifts the search cap
     p = sub.add_parser("isoclinic", help="decide isoclinism of two groups")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
     p.add_argument("--force", action="store_true", help="lift the isoclinism search cap")
     _add_pretty(p)
 
-    # structure constants are computed, never cached or sampled, so kappa
-    # takes none of --cache-dir, --seed and --force
+    # structure constants are computed, never cached, so kappa takes
+    # neither --cache-dir nor --force
     p = sub.add_parser("kappa", help="field structure constants as JSON")
     p.add_argument("p", type=int)
     p.add_argument("m", type=int)
@@ -124,8 +123,7 @@ def _skip(checks: list, suite: str, reason: str):
                    "witness": {"reason": reason}})
 
 
-def _presentation_checks(g: FiniteGroup, profile: st.CheckReport,
-                         checks: list, seed: int):
+def _presentation_checks(g: FiniteGroup, profile: st.CheckReport, checks: list):
     """Frames, parameter extraction, bracket relations, frame independence.
 
     Returns the extracted parameter dict, or None when extraction failed.
@@ -161,11 +159,11 @@ def _presentation_checks(g: FiniteGroup, profile: st.CheckReport,
                    "passed": bool(rel["passed"]), "witness": rp.jsonable(rel)})
     # the residue parameters must not depend on which frame was read:
     # compare against a generic frame when it can carry the same kappa
-    # chart (m = 1), and against a centrally shifted frame always
+    # chart (m = 1), and against the frame shifted by z_1 always
     others = []
     if m == 1 and generic is not None:
         others.append(("generic", generic))
-    others.append(("central_shift", st.central_shift_frame(g, frame, seed=seed)))
+    others.append(("central_shift", st.central_shift_frame(g, frame)))
     mismatched = {}
     for label, other in others:
         res = params.compare(st.extract_presentation_params(g, other))
@@ -183,7 +181,7 @@ def cmd_verify(args) -> int:
     canonical = spec.canonical()
     selected = SUITES if args.suite == "all" else (args.suite,)
     cache = _cache(args)
-    cache_key = f"verify:{args.suite}:seed={args.seed}"
+    cache_key = f"verify:{args.suite}"
     timings: dict = {}
     payload = None if args.force else cache.load(canonical, modulus, cache_key)
     if payload is None:
@@ -207,7 +205,7 @@ def cmd_verify(args) -> int:
         if "presentation" in selected:
             t0 = time.perf_counter()
             if profile.passed:
-                params = _presentation_checks(g, profile, checks, args.seed)
+                params = _presentation_checks(g, profile, checks)
             else:
                 _skip(checks, "presentation", "class-3 square-type profile fails")
             timings["presentation_ms"] = 1000 * (time.perf_counter() - t0)

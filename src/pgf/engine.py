@@ -15,15 +15,17 @@ coordinate chart: an element's code is its index, and a row is an element
 exactly when its code lies in 0..n-1, its entries lie in their column
 radices and backend.check_rows accepts it.  The constructor asserts the
 last two on every stored row, and encode is one to one on the rows that
-pass both, so index_of_rows gathers no stored row.  Full coordinate
-universes (quint, u3, hmat, xab, cyclic) are dense; quotients, whose rows
-hold sparse coset leaders, look codes up with a binary search.
+pass both, so index_of_rows gathers no stored row.  Every universe pgf
+builds is a dense chart: the full coordinate universes (quint, u3, hmat,
+xab, cyclic) and the quotients, whose rows are their coset ids.  Only a
+universe a caller builds from a sparse set of rows looks codes up with a
+binary search.
 
-A quotient G/N takes the least member of each coset as its leader.  The
-leaders come from flooding labels to their minimum along right
-multiplication by a generating set of N, so building G/N costs n * rank(N)
-products (plus the normality check), not the n * |N| of multiplying the
-group by every member of N.
+A quotient G/N takes the least member of each coset as its leader, and
+numbers the cosets by their leaders.  The leaders come from flooding
+labels to their minimum along right multiplication by a generating set of
+N, so building G/N costs n * rank(N) products (plus the normality check),
+not the n * |N| of multiplying the group by every member of N.
 
 Products are memoized in a 2-D n x n int32 array, read as table[i, j],
 when the order is at most TABLE_CAP; larger groups multiply on demand
@@ -41,7 +43,7 @@ once per group and read-only.
 
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
-rows that hold another group's element indices (quotients, products).
+rows that hold element indices (coset ids of quotients, products).
 Given generators without assume_generates, it proves with closure_members
 that they span the universe; on a dense chart each product is compared
 with a stored row, so the stored rows are also proved closed.
@@ -104,11 +106,6 @@ class Backend:
     def inv_rows(self, a: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def mul_index(self, group_rows: np.ndarray, i: np.ndarray, j: np.ndarray):
-        """Optional fast path: product indices for index arrays i, j, or None
-        to fall back on row multiplication plus code lookup."""
-        return None
-
     def check_rows(self, rows: np.ndarray) -> None:
         pass
 
@@ -116,11 +113,11 @@ class Backend:
         return "(" + ",".join(str(int(v)) for v in row) + ")"
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
-        codes = np.zeros(len(rows), dtype=np.int64)
+        codes = rows[:, 0].astype(np.int64)
         mult = 1
-        for k, r in enumerate(self.radices):
+        for k in range(1, len(self.radices)):
+            mult *= self.radices[k - 1]
             codes += rows[:, k].astype(np.int64) * mult
-            mult *= r
         return codes
 
 
@@ -313,9 +310,6 @@ class FiniteGroup:
         if len(i) > CHUNK_PRODUCTS:
             return np.concatenate([self._mul_index_raw(i[s:s + CHUNK_PRODUCTS], j[s:s + CHUNK_PRODUCTS])
                                    for s in range(0, len(i), CHUNK_PRODUCTS)])
-        direct = self.backend.mul_index(self.rows, i, j)
-        if direct is not None:
-            return direct
         return self.index_of_rows(self.backend.mul_rows(self.rows.take(i, axis=0), self.rows.take(j, axis=0)))
 
     def mul_many(self, i, j) -> np.ndarray:
@@ -638,7 +632,7 @@ class FiniteGroup:
         leaders = sorted_unique(rep)
         coset_of = np.searchsorted(leaders, rep)
         return FiniteGroup(name or f"{self.name} / {n_sub.order}",
-                           QuotientBackend(self, leaders, coset_of), leaders[:, None],
+                           QuotientBackend(self, leaders, coset_of), np.arange(len(leaders))[:, None],
                            generators=sorted_unique(coset_of[self.generators]).tolist(),
                            field=self.field, assume_generates=True)
 
@@ -668,15 +662,15 @@ class FiniteGroup:
 
     # -- identity suite ----------------------------------------------------
 
-    def check_class3_identities(self, samples: int = 10**4, seed: int = 0,
-                                exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT) -> dict:
+    def check_class3_identities(self, samples: int = 10**4) -> dict:
         """Commutator identities valid in nilpotency class <= 3 (odd p).
 
         Exhaustive over all element tuples when the order n is at most
-        exhaustive_limit, otherwise over seeded random tuples, which go
-        through mul_many and commutator_many.  Returns a report dict per
-        identity: {passed, checked, counterexample}, the counterexample
-        being the first failing tuple in order.
+        IDENTITY_EXHAUSTIVE_LIMIT (read at call time), otherwise over the
+        random tuples of default_rng(0), which go through mul_many and
+        commutator_many.  Returns a report dict per identity: {passed,
+        checked, counterexample}, the counterexample being the first
+        failing tuple in order.
 
         The exhaustive path tabulates M[x, y] = x*y and C[x, y] = [x, y],
         n x n int32, through mul_many and commutator_many, so every product
@@ -718,9 +712,9 @@ class FiniteGroup:
                 entry["passed"] = False
                 entry["counterexample"] = tuple(self.describe(int(t[k])) for t in tuples)
 
-        if n > exhaustive_limit:
+        if n > IDENTITY_EXHAUSTIVE_LIMIT:
             mul, comm = self.mul_many, self.commutator_many
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             a, b, c = (rng.integers(0, n, samples) for _ in range(3))
             # triple commutator vanishes when both inner commutators are central
             cac, cbc, cab = comm(a, c), comm(b, c), comm(a, b)
@@ -797,10 +791,10 @@ def _flood_min(moves, n: int) -> np.ndarray:
     permutations in moves (min-label flooding with path compression)."""
     labels = np.arange(n, dtype=np.int64)
     while True:
-        before = labels
-        for img in moves:
-            labels = np.minimum(labels, labels[img])
-        labels = labels[labels]  # path compression
+        before = labels.copy()
+        for img in moves:  # in place: one fewer array of n per move
+            np.minimum(labels, labels.take(img), out=labels)
+        labels = labels.take(labels)  # path compression
         if np.array_equal(labels, before):
             return labels
 
@@ -885,11 +879,11 @@ def is_homomorphism(a: FiniteGroup, b: FiniteGroup, domain, gens, image) -> bool
 
 
 class QuotientBackend(Backend):
-    """Cosets of a normal subgroup; a row holds the parent index of the
-    minimal coset member, which acts as the canonical representative.
-
-    leaders is ascending, so the quotient group's element index equals the
-    coset id, which mul_index exploits to skip the row round trip.
+    """Cosets of a normal subgroup of parent.  A row holds a coset id, the
+    position of the coset's least member in the ascending leaders, and
+    coset_of maps each parent index to its coset id.  Products and inverses
+    are taken on the leaders in parent and read back through coset_of.
+    FiniteGroup.quotient stores the ids 0..n-1, so G/N is a dense chart.
     """
 
     def __init__(self, parent: FiniteGroup, leaders: np.ndarray, coset_of: np.ndarray):
@@ -897,24 +891,17 @@ class QuotientBackend(Backend):
         self.leaders = leaders
         self.coset_of = coset_of
         self.width = 1
-        self.radices = (parent.order,)
-
-    def mul_index(self, group_rows, i, j):
-        if len(group_rows) != len(self.leaders):
-            return None
-        prod = self.parent.mul_many(group_rows[i, 0], group_rows[j, 0])
-        return self.coset_of[prod]
+        self.radices = (len(leaders),)
 
     def identity_row(self) -> np.ndarray:
-        return np.array([self.leaders[self.coset_of[self.parent.identity]]], dtype=np.int64)
+        return np.array([self.coset_of[self.parent.identity]], dtype=np.int64)
 
     def mul_rows(self, a, b):
-        prod = self.parent.mul_many(a[:, 0], b[:, 0])
-        return self.leaders[self.coset_of[prod]][:, None]
+        lead = self.leaders
+        return self.coset_of.take(self.parent.mul_many(lead.take(a.ravel()), lead.take(b.ravel())))[:, None]
 
     def inv_rows(self, a):
-        inv = self.parent.inv_many(a[:, 0])
-        return self.leaders[self.coset_of[inv]][:, None]
+        return self.coset_of.take(self.parent.inv_many(self.leaders.take(a.ravel())))[:, None]
 
     def describe_row(self, row) -> str:
-        return self.parent.describe(int(row[0])) + "N"
+        return self.parent.describe(int(self.leaders[row[0]])) + "N"

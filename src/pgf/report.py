@@ -129,8 +129,9 @@ def spec_slug(spec: str) -> str:
     return "".join(keep).strip("-")
 
 
-def params_file_path(spec: str, out_dir=".") -> Path:
-    return Path(out_dir) / f"params-{spec_slug(spec)}.json"
+def params_file_path(spec: str) -> Path:
+    """Where `pgf verify` writes the parameters of spec: the working directory."""
+    return Path(f"params-{spec_slug(spec)}.json")
 
 
 @functools.cache

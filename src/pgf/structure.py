@@ -12,7 +12,6 @@ a frame leaves open.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,24 +479,18 @@ def lift_generator_frame(g: FiniteGroup, strategy: str = "coordinate",
     return frame
 
 
-def central_shift_frame(g: FiniteGroup, frame: GeneratorFrame,
-                        seed: int = 0) -> GeneratorFrame:
-    """A distinct valid frame: each x_i and y_i times a central element.
+def central_shift_frame(g: FiniteGroup, frame: GeneratorFrame) -> GeneratorFrame:
+    """A distinct valid frame: each x_i and y_i times the central z_1.
 
     Central shifts leave every bracket unchanged, so h and z carry over
-    verbatim; only the power relations can move.  The leading x is forced
-    off its original value so the result never collapses back onto the
-    input frame.
+    verbatim.  On the class-3 profile Z is elementary abelian, so
+    (x z_1)^p = x^p z_1^p = x^p and no relation moves either: the frame
+    names other elements that satisfy the same presentation, and the
+    parameters read off it must agree with those of frame, epsilon and nu
+    included.
     """
-    rng = random.Random(seed)
-    z = g.center()
-    old = frame.x + frame.y
-    shifts = z.members[[rng.randrange(z.order) for _ in old]]
-    new = g.mul_many(old, shifts).tolist()
-    xs, ys = new[:frame.m], new[frame.m:]
-    if tuple(xs) == tuple(frame.x) and tuple(ys) == tuple(frame.y):
-        xs[0] = g.mul(int(frame.x[0]), int(z.members[1]))
-    shifted = GeneratorFrame(g, tuple(xs), tuple(ys), frame.h, frame.z)
+    shift = g.mul_many(frame.x + frame.y, frame.z[0]).tolist()
+    shifted = GeneratorFrame(g, tuple(shift[:frame.m]), tuple(shift[frame.m:]), frame.h, frame.z)
     shifted.validate()
     return shifted
 
@@ -622,12 +615,11 @@ class PresentationParams:
         }
 
 
-def _group_kappa(g: FiniteGroup, kappa) -> KappaTensor:
-    if kappa is None:
-        if g.field is None:
-            raise GroupError("no field on the group; pass the kappa tensor explicitly")
-        kappa = structure_constants(g.field)
-    return kappa
+def _frame_kappa(g: FiniteGroup, frame: GeneratorFrame) -> KappaTensor:
+    """The kappa tensor of g's field, which must have the frame's p and m."""
+    if g.field is None or (g.field.m, g.field.p) != (frame.m, g.prime):
+        raise GroupError("kappa tensor does not match the group's field parameters")
+    return structure_constants(g.field)
 
 
 def _power_table(g: FiniteGroup, elems, top: int) -> np.ndarray:
@@ -656,8 +648,7 @@ def _zlog(zb: ElemAbelianBasis, vals: np.ndarray, names: list) -> np.ndarray:
     return zb.log_many(vals)
 
 
-def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
-                                kappa: KappaTensor | None = None) -> PresentationParams:
+def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame) -> PresentationParams:
     """Solve each presentation relation for its z-exponent vector.
 
     Brackets among the frame families and the p-th powers of x and y are all
@@ -666,10 +657,8 @@ def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
     those parameters capture only the central correction.  The brackets come
     from one commutator_many call, read in the order of the names below.
     """
-    kappa = _group_kappa(g, kappa)
+    kappa = _frame_kappa(g, frame)
     m, p = frame.m, g.prime
-    if kappa.spec.m != m or kappa.spec.p != p:
-        raise GroupError("kappa tensor does not match the group's field parameters")
     zb = ElemAbelianBasis(g, list(frame.z))
     x, y, h = (np.asarray(f, dtype=np.int64) for f in (frame.x, frame.y, frame.h))
     i, j = np.divmod(np.arange(m * m), m)
@@ -694,12 +683,11 @@ def extract_presentation_params(g: FiniteGroup, frame: GeneratorFrame,
                               lam=lam, mu=mu, epsilon=epsilon, nu=nu)
 
 
-def verify_kappa_commutator_relations(g: FiniteGroup, frame: GeneratorFrame,
-                                      kappa: KappaTensor | None = None) -> dict:
+def verify_kappa_commutator_relations(g: FiniteGroup, frame: GeneratorFrame) -> dict:
     """Check [h_i, x_j] = [h_j, x_i] = kappa word in z_1..z_m, and the
     y-family twin in z_{m+1}..z_{2m}, for all i, j, read in the order i, j,
     family; checked counts the relations up to the first failure."""
-    kappa = _group_kappa(g, kappa)
+    kappa = _frame_kappa(g, frame)
     m = frame.m
     h, z = np.asarray(frame.h, dtype=np.int64), np.asarray(frame.z, dtype=np.int64)
     gens = np.asarray([frame.x, frame.y], dtype=np.int64).T  # gens[k, family]
@@ -717,13 +705,3 @@ def verify_kappa_commutator_relations(g: FiniteGroup, frame: GeneratorFrame,
     return {"passed": False, "checked": k + 1, "counterexample": {
         "family": "xy"[fam], "i": a + 1, "j": b + 1, "left": int(left.flat[k]),
         "right": int(right.flat[k]), "word": int(word.flat[k])}}
-
-
-def verify_frame_independence(g: FiniteGroup, frame_a: GeneratorFrame,
-                              frame_b: GeneratorFrame,
-                              kappa: KappaTensor | None = None) -> dict:
-    """Extract parameters from both frames and compare them
-    (PresentationParams.compare)."""
-    kappa = _group_kappa(g, kappa)
-    return extract_presentation_params(g, frame_a, kappa).compare(
-        extract_presentation_params(g, frame_b, kappa))

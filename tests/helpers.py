@@ -29,9 +29,9 @@ import math
 
 import numpy as np
 
+import pgf.engine
 from pgf.engine import (
     DEFAULT_CAP,
-    IDENTITY_EXHAUSTIVE_LIMIT,
     Backend,
     CapExceeded,
     FiniteGroup,
@@ -196,17 +196,17 @@ def verify_group_axioms(g: FiniteGroup, samples: int = 10**5, seed: int = 0) -> 
             raise GroupError("associativity fails on a sampled triple")
 
 
-def class3_identity_oracle(g: FiniteGroup, samples: int = 10**4, seed: int = 0,
-                           exhaustive_limit: int = IDENTITY_EXHAUSTIVE_LIMIT, skew=None) -> dict:
+def class3_identity_oracle(g: FiniteGroup, samples: int = 10**4, skew=None) -> dict:
     """The report of FiniteGroup.check_class3_identities, computed tuple by
     tuple in plain Python from cayley_table(g).
 
     Inverses, powers, commutators and the center come from the table alone.
     skew = (u, v, w) makes [u, v] read w, as a group that misreports one
     commutator would.  Tuples run in flat order when the order is at most
-    exhaustive_limit; otherwise they replay the engine's default_rng(seed)
-    draws (three arrays of triples, then two of pairs).  The exponents (i, j,
-    k) of the t-th triple are the base-p digits of t mod p**3.
+    pgf.engine.IDENTITY_EXHAUSTIVE_LIMIT, read at call time; otherwise they
+    replay the engine's default_rng(0) draws (three arrays of triples, then
+    two of pairs).  The exponents (i, j, k) of the t-th triple are the
+    base-p digits of t mod p**3.
     """
     table = cayley_table(g).tolist()
     n, e = g.order, g.identity
@@ -240,11 +240,11 @@ def class3_identity_oracle(g: FiniteGroup, samples: int = 10**4, seed: int = 0,
             entry["passed"] = False
             entry["counterexample"] = tuple(g.describe(x) for x in tup)
 
-    if n <= exhaustive_limit:
+    if n <= pgf.engine.IDENTITY_EXHAUSTIVE_LIMIT:
         triples = itertools.product(range(n), repeat=3)
         pairs = itertools.product(range(n), repeat=2)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         draws = [rng.integers(0, n, samples).tolist() for _ in range(5)]
         triples, pairs = zip(*draws[:3]), zip(*draws[3:])
     for t, (a, b, c) in enumerate(triples):

@@ -117,6 +117,17 @@ def test_verify_all_extracts_each_frame_once(capsys, tmp_path, monkeypatch, spec
         "frames_compared": frames - 1, "mismatched": {}}
 
 
+@pytest.mark.parametrize("flag", [["--seed", "5"]], ids=["seed"])
+def test_verify_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
+    # the central shift is fixed at z_1, so no check draws a random number
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "hmod:p=3,m=1", "all", *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_class2_group_fails_profile(capsys):
     code, d, _ = run_json(capsys, ["verify", "u3:p=3,m=1", "a2"])
     assert code == 1

@@ -586,8 +586,8 @@ def test_basis_of_a_subgroup_over_itself_is_empty():
 def test_constructor_rejects_bad_index_rows():
     from pgf.constructions import build_group
 
-    q = build_group("hmod:p=7,m=1")  # rows are indices into hmat, past int16
-    assert q.rows.dtype == np.int64 and q.rows.max() > np.iinfo(np.int16).max
+    q = build_group("hmod:p=7,m=1")  # rows are coset ids, int64 like every index row
+    assert q.rows.dtype == np.int64 and np.array_equal(q.rows[:, 0], np.arange(q.order))
     with pytest.raises(GroupError, match="duplicate"):
         FiniteGroup("dup", q.backend, np.vstack([q.rows, q.rows[-1:]]))
     with pytest.raises(GroupError, match="identity"):
@@ -838,6 +838,89 @@ def test_relabel_rejects_non_permutation():
         relabel(g, np.zeros(12, dtype=np.int64))
 
 
+# -- invariants against the Cayley table -----------------------------------
+
+INVARIANT_CASES = ("u3:p=3,m=1", "u3:p=5,m=1", "quint:p=3,m=1", "hmod:p=3,m=1", "hmat:p=3,m=1",
+                   "hmod:p=3,m=1/Z", "quint:p=3,m=1/Z", "hmat:p=3,m=1/Z", "(hmat:p=3,m=1/Z)/Z")
+
+
+@functools.lru_cache(maxsize=None)
+def invariant_groups() -> dict:
+    """Each group of INVARIANT_CASES with its Cayley table; the central
+    quotients are dense index charts."""
+    from pgf.constructions import build_group
+
+    groups = {}
+    for label in INVARIANT_CASES:  # "S/Z" follows S, and "(S/Z)/Z" follows S/Z
+        if label.endswith("/Z"):
+            g = groups[label[1:-3] if label.startswith("(") else label[:-2]]
+            groups[label] = g.quotient(g.center())
+        else:
+            groups[label] = build_group(label)
+    assert all(g.order <= 729 for g in groups.values())
+    return {label: (g, cayley_table(g)) for label, g in groups.items()}
+
+
+def oracle_conjugacy(table, identity):
+    """(class_of, class_reps, class_sizes): the class of x is every
+    g^-1 x g, read off the table, and its least member is its rep."""
+    idx = np.arange(len(table))
+    inv = np.argmax(table == identity, axis=1)
+    conj = table[table[inv[None, :], idx[:, None]], idx[None, :]]  # conj[x, g] = g^-1 x g
+    reps, class_of = np.unique(conj.min(axis=1), return_inverse=True)
+    return class_of, reps.tolist(), np.bincount(class_of).tolist()
+
+
+def oracle_lower_central_series(table, identity):
+    """gamma_(k+1) as the subgroup the brackets [a, g], a in gamma_k, span,
+    until a term repeats or is trivial."""
+    n = len(table)
+    idx = np.arange(n)
+    inv = np.argmax(table == identity, axis=1)
+    comm = table[table[table[inv[:, None], inv[None, :]], idx[:, None]], idx[None, :]]
+    series = [idx]
+    while len(series[-1]) > 1:
+        nxt = np.flatnonzero(oracle_span(table, identity, np.unique(comm[series[-1]])))
+        if np.array_equal(nxt, series[-1]):
+            break
+        series.append(nxt)
+    return series
+
+
+def oracle_element_orders(table, identity):
+    n = len(table)
+    orders, power = np.ones(n, dtype=np.int64), np.arange(n)
+    while (alive := power != identity).any():
+        power[alive] = table[power[alive], np.flatnonzero(alive)]
+        orders[alive] += 1
+    return orders
+
+
+@pytest.mark.parametrize("label", INVARIANT_CASES)
+@given(data=st.data())
+@settings(max_examples=6, deadline=None)
+def test_invariants_match_the_cayley_table(label, data):
+    g, table = invariant_groups()[label]
+    if g.order <= 243 and data.draw(st.booleans(), label="relabel"):
+        perm = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(g.order)
+        g = relabel(g, perm)
+        table = cayley_table(g)
+    e = g.identity
+    rep = g.conjugacy_classes()
+    class_of, reps, sizes = oracle_conjugacy(table, e)
+    assert np.array_equal(rep.class_of, class_of)
+    assert (rep.class_reps, rep.class_sizes) == (reps, sizes)
+    assert rep.conjugate_type == sorted(set(sizes))
+    series = oracle_lower_central_series(table, e)
+    assert [term.members.tolist() for term in g.lower_central_series()] == [t.tolist() for t in series]
+    assert np.array_equal(g.element_orders(), oracle_element_orders(table, e))
+    # |C_A(x)| for a subgroup A spanned by a few drawn elements
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3), label="A")
+    members = np.flatnonzero(oracle_span(table, e, gens))
+    want = (table[:, members] == table[members, :].T).sum(axis=1)
+    assert np.array_equal(g.centralizer_orders_in(g.subgroup(members)), want)
+
+
 # -- identity suite --------------------------------------------------------
 
 
@@ -928,11 +1011,14 @@ IDENTITY_CASES = {
 
 @pytest.mark.parametrize("path", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("label", list(IDENTITY_CASES))
-def test_class3_identities_match_brute_force(label, path):
+def test_class3_identities_match_brute_force(label, path, monkeypatch):
     # whole reports, counterexamples included; the sampled path replays the
-    # engine's seeded draws on a group below the exhaustive limit
+    # engine's draws on a group below the exhaustive limit
     g = IDENTITY_CASES[label]()
-    kw = {} if path == "exhaustive" else {"samples": 600, "seed": 7, "exhaustive_limit": g.order - 1}
+    kw = {}
+    if path == "sampled":
+        monkeypatch.setattr(pgf.engine, "IDENTITY_EXHAUSTIVE_LIMIT", g.order - 1)
+        kw = {"samples": 600}
     rep = g.check_class3_identities(**kw)
     assert rep == class3_identity_oracle(g, skew=getattr(g, "skew", None), **kw)
     if label in SKEWED_CASES and path == "exhaustive":
@@ -992,12 +1078,14 @@ def test_class3_identities_tabulate_each_product_once():
     assert n * n <= g.products <= n * n + 2 * n * len(g.generators) + 2 * p.bit_length() * p * n
 
 
-def test_class3_identities_sampled_path():
+def test_class3_identities_sampled_path(monkeypatch):
     # heis(5) has order 125, so the limit is lowered to take the sampled path
-    rep = heis(5).check_class3_identities(samples=500, seed=3, exhaustive_limit=100)
+    monkeypatch.setattr(pgf.engine, "IDENTITY_EXHAUSTIVE_LIMIT", 100)
+    rep = heis(5).check_class3_identities(samples=500)
     assert all(entry["passed"] for entry in rep.values())
     assert rep["product_expansion"]["checked"] == 500
-    assert rep == class3_identity_oracle(heis(5), samples=500, seed=3, exhaustive_limit=100)
+    assert rep == class3_identity_oracle(heis(5), samples=500)
+    assert rep == heis(5).check_class3_identities(samples=500)  # the draws are fixed
 
 
 def test_class3_identities_reject_bad_input():
@@ -1078,15 +1166,20 @@ def test_index_sets_avoid_numpy_hash_path():
     assert found == []
 
 
+RANDOM_MODULES = ("numpy.random", "random")
+
+
 def random_accesses(source: str, filename: str = "<source>") -> list:
-    """Reads of np.random or numpy.random, and imports of numpy.random, by line."""
+    """Reads of np.random or numpy.random, and imports of numpy.random or of
+    the standard random module, by line."""
     lines = []
     for node in ast.walk(ast.parse(source, filename)):
         if ((isinstance(node, ast.Attribute) and node.attr == "random"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
-                or (isinstance(node, ast.ImportFrom) and node.module == "numpy.random")
+                or (isinstance(node, ast.ImportFrom) and not node.level
+                    and node.module in RANDOM_MODULES)
                 or (isinstance(node, ast.Import)
-                    and any(a.name == "numpy.random" for a in node.names))):
+                    and any(a.name in RANDOM_MODULES for a in node.names))):
             lines.append(node.lineno)
     return [f"{filename}:{n}" for n in sorted(lines)]
 
@@ -1097,9 +1190,23 @@ def test_random_guard_flags_numpy_random():
     assert random_accesses(source) == ["<source>:1", "<source>:3", "<source>:4"]
 
 
+def test_random_guard_flags_the_random_module():
+    source = ("import random\nfrom random import Random\nimport randomness\n"
+              "from .random import x\nimport os, random as r\n")
+    assert random_accesses(source) == ["<source>:1", "<source>:2", "<source>:5"]
+
+
 def test_isoclinism_verdicts_draw_no_random_numbers():
     # a verdict or witness check that samples would depend on its seed
     path = pathlib.Path(pgf.isoclinism.__file__)
+    assert random_accesses(path.read_text(), path.name) == []
+
+
+@pytest.mark.parametrize("module", ["structure", "cli", "constructions", "report", "fields"])
+def test_module_draws_no_random_numbers(module):
+    # every verdict and report is a function of its spec; the sampled
+    # identity suite in engine.py is the one place that draws
+    path = pathlib.Path(pgf.engine.__file__).with_name(f"{module}.py")
     assert random_accesses(path.read_text(), path.name) == []
 
 

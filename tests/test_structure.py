@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import pgf.structure
 from pgf.constructions import build_cyclic, build_group, parse_group_spec, quintuple_coords
-from pgf.engine import GroupError
+from pgf.engine import Backend, FiniteGroup, GroupError
 from pgf.fields import structure_constants
 from pgf.structure import (
     CheckReport,
@@ -21,7 +21,6 @@ from pgf.structure import (
     lift_generator_frame,
     recognize_u3,
     verify_class3_profile,
-    verify_frame_independence,
     verify_kappa_commutator_relations,
     verify_structural_suite,
 )
@@ -398,6 +397,55 @@ def test_frame_validate_rejects_non_generating_xy(quint31):
         bad.validate()
 
 
+class AffineProductBackend(Backend):
+    """inner x F20, F20 the affine maps t -> alpha t + beta of GF(5): a row
+    is (inner index, alpha, beta), and (alpha, beta)(alpha', beta') is
+    (alpha alpha', beta alpha' + beta')."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.width = 3
+        self.radices = (inner.order, 5, 5)
+
+    def identity_row(self):
+        return np.array([self.inner.identity, 1, 0], dtype=np.int64)
+
+    def mul_rows(self, a, b):
+        return np.stack([self.inner.mul_many(a[:, 0], b[:, 0]), a[:, 1] * b[:, 1] % 5,
+                         (a[:, 2] * b[:, 1] + b[:, 2]) % 5], axis=1)
+
+    def inv_rows(self, a):
+        alpha = a[:, 1] ** 3 % 5  # alpha^-1 in GF(5)*
+        return np.stack([self.inner.inv_many(a[:, 0]), alpha, -a[:, 2] * alpha % 5], axis=1)
+
+
+def test_frame_validate_reaches_the_generation_check(hmod31):
+    # G = hmod:p=3,m=1 x F20 is outside the class-3 profile: F20 has trivial
+    # center and F20' = T, its translations.  With r a translation, s: t -> -t
+    # and X, Y, H, Z1, Z2 the coordinate frame of hmod, the m = 2 frame
+    # x = ((X, r), (X, r)), y = ((Y, 1), (Y, s)) has h = ((H, 1), (H, [r, s]))
+    # and z = (Z1, Z1, Z2, Z2) in the hmod factor.  [r, s] has order 5, prime
+    # to 3, so <h, z> = hmod' x T = G', and <z> = Z(hmod) = Z(G).  Every
+    # check but the last passes, while modulo the center x and y generate
+    # only hmod x <r, s>, <r, s> a dihedral group of order 10.
+    f = lift_generator_frame(hmod31, "coordinate")
+    cells = np.array(list(itertools.product(range(hmod31.order), range(1, 5), range(5))))
+    g = FiniteGroup("hmod:p=3,m=1 x F20", AffineProductBackend(hmod31), cells)
+
+    def element(inner, alpha, beta):
+        return int(g.index_of_rows(np.array([[inner, alpha, beta]]))[0])
+
+    x = (element(f.x[0], 1, 1),) * 2
+    y = (element(f.y[0], 1, 0), element(f.y[0], 4, 0))
+    h = tuple(g.commutator_many(x[0], y).tolist())
+    z = tuple(g.commutator_many(h[0], x + y).tolist())
+    assert np.array_equal(g.closure_members(list(z)), g.center().members)
+    assert np.array_equal(g.closure_members(list(h + z)), g.derived_subgroup().members)
+    with pytest.raises(GroupError) as err:
+        GeneratorFrame(g, x, y, h, z).validate()
+    assert str(err.value) == "x and y entries do not generate the group modulo the derived subgroup"
+
+
 def normalized_frame(g, xs, ys):
     """The frame of xs, ys with h and z set by the normalizations, unchecked."""
     m = len(xs)
@@ -471,12 +519,16 @@ def test_extraction_detects_misordered_z(quint31):
         extract_presentation_params(quint31, swapped)
 
 
-def test_extraction_rejects_foreign_kappa(quint31):
+def test_extraction_rejects_foreign_kappa(quint31, monkeypatch):
+    # the kappa tensor comes from the group's field, which must have the
+    # frame's p and m
     from pgf.fields import find_irreducible
     frame = lift_generator_frame(quint31, "coordinate")
-    wrong = structure_constants(find_irreducible(3, 2))
-    with pytest.raises(GroupError):
-        extract_presentation_params(quint31, frame, wrong)
+    for field in (find_irreducible(3, 2), find_irreducible(5, 1), None):
+        monkeypatch.setattr(quint31, "field", field)
+        for check in (extract_presentation_params, verify_kappa_commutator_relations):
+            with pytest.raises(GroupError, match="kappa tensor does not match"):
+                check(quint31, frame)
 
 
 @pytest.mark.parametrize("fixture", MATRIX)
@@ -484,11 +536,11 @@ def test_extraction_matches_the_scalar_oracle(fixture, request):
     g = request.getfixturevalue(fixture)
     kappa = structure_constants(g.field)
     frame = lift_generator_frame(g, "coordinate")
-    frames = [frame, pgf.structure.central_shift_frame(g, frame, seed=3)]
+    frames = [frame, pgf.structure.central_shift_frame(g, frame)]
     if frame.m == 1:
         frames.append(lift_generator_frame(g, "generic"))
     for f in frames:
-        params = extract_presentation_params(g, f, kappa)
+        params = extract_presentation_params(g, f)
         want = presentation_params_oracle(g, f, kappa)
         for name, arr in want.items():
             assert np.array_equal(getattr(params, name), arr), name
@@ -505,7 +557,7 @@ def test_extraction_names_the_first_value_outside_the_span(fixture, request):
         bad = GeneratorFrame(g, f.x, f.y, f.h, z)
         message = f"{first} lies outside the central span"
         with pytest.raises(TheoremViolation) as err:
-            extract_presentation_params(g, bad, kappa)
+            extract_presentation_params(g, bad)
         assert str(err.value) == message
         with pytest.raises(TheoremViolation) as err:
             presentation_params_oracle(g, bad, kappa)
@@ -561,6 +613,11 @@ def test_kappa_relations_report_the_first_failure(quint32):
 
 
 # -- frame independence ----------------------------------------------------
+
+
+def verify_frame_independence(g, frame_a, frame_b):
+    """PresentationParams.compare on the parameters read off both frames."""
+    return extract_presentation_params(g, frame_a).compare(extract_presentation_params(g, frame_b))
 
 
 def test_independence_coordinate_vs_generic(quint31, hmod31, hmod51):
