@@ -8,16 +8,19 @@ codes, q-ary):
          order q^5
   hmat   patterned subgroup of the 5x5 lower unitriangular group whose
          repeated entries tie rows together, order q^6
-  hmod   hmat modulo its center, order q^5, built as a genuine quotient
+  hmod   hmat modulo its center, order q^5, built on the pattern rows with
+         corner entry 0, one per coset of the center
 
 plus `xab`, the direct product of any of these with an elementary abelian
 group of rank k.  Group spec strings like "u3:p=3,m=2" name a family plus
 field parameters and parse into GroupSpec.
 
-u3, quint and hmat enumerate their full coordinate chart by code, so a
-generator's index is its code.  The constructor's closure over the
-generators proves that they generate the chart; for hmat, each product must
-equal a stored pattern row, so the pattern is multiplication-closed.
+u3, quint, hmat and hmod enumerate their full coordinate chart by code, so
+a generator's index is its code.  The constructor's closure over the
+generators proves that they generate the chart; for hmat and hmod, each
+product must equal a stored pattern row, so the pattern is
+multiplication-closed.  hmod never enumerates hmat: build_h_mod_center
+proves on rows that its chart is hmat modulo the center.
 """
 
 from __future__ import annotations
@@ -103,6 +106,8 @@ H_SLOTS = {"a": 0, "c": 1, "b": 2, "d": 3, "ab_c": 4, "a2": 5, "f": 6, "e": 7, "
 
 # the six free slots of the chart code, least significant first
 H_CHART = ("d", "a", "f", "e", "c", "b")
+# hmod's chart: the same without the corner f
+HMOD_CHART = ("d", "a", "e", "c", "b")
 
 
 class PatternedU5Backend(MatrixBackend):
@@ -124,13 +129,15 @@ class PatternedU5Backend(MatrixBackend):
     code.
     """
 
+    chart = H_CHART
+
     def __init__(self, ops: FieldOps):
         super().__init__(ops, 5)
 
     def encode(self, rows):
         q = self.ops.q
         codes = np.zeros(len(rows), dtype=np.int64)
-        for name in reversed(H_CHART):
+        for name in reversed(self.chart):
             codes *= q
             codes += rows[:, H_SLOTS[name]]
         return codes
@@ -147,6 +154,39 @@ class PatternedU5Backend(MatrixBackend):
         want = ops.sub(ops.mul(rows[:, s["a"]], rows[:, s["b"]]), rows[:, s["c"]])
         if not np.array_equal(rows[:, s["ab_c"]], want):
             raise GroupError("derived entry of a patterned row disagrees")
+
+
+class HModBackend(PatternedU5Backend):
+    """hmat modulo its corner axis F (the rows whose only nonzero entry is
+    f), on the pattern rows with f = 0: one row per coset of F.
+
+    Slot f = (4,0) is in no middle pair (build_h_mod_center checks it), so
+    f feeds no other entry of a product or an inverse: zeroing f after the
+    5x5 product is the product of U5/F, and F is central in U5.  check_rows
+    also asserts f = 0, and the code is the chart code over HMOD_CHART =
+    (d, a, e, c, b), which orders these rows as hmat's codes order them.
+    A row reads as its 5x5 pattern row followed by "N", the coset it leads.
+    """
+
+    chart = HMOD_CHART
+
+    def mul_rows(self, a, b):
+        out = super().mul_rows(a, b)
+        out[:, H_SLOTS["f"]] = 0
+        return out
+
+    def inv_rows(self, a):
+        out = super().inv_rows(a)
+        out[:, H_SLOTS["f"]] = 0
+        return out
+
+    def check_rows(self, rows):
+        super().check_rows(rows)
+        if np.any(rows[:, H_SLOTS["f"]]):
+            raise GroupError("a row of hmat modulo its corner axis has a nonzero corner entry")
+
+    def describe_row(self, row) -> str:
+        return super().describe_row(row) + "N"
 
 
 def patterned_row(ops: FieldOps, a, b, c, d, e, f):
@@ -347,6 +387,16 @@ def quintuple_generator_indices(g: FiniteGroup) -> dict:
     raise GroupError("generator frame indices exist for quint and hmod kinds")
 
 
+def _h_generator_rows(ops: FieldOps, m: int) -> np.ndarray:
+    """hmat's 2m+2 generators: x_i (a = alpha^i), y_i (b = alpha^i), then
+    c = 1 and f = 1, as pattern rows."""
+    apow = ops.alpha_pow
+    gens = [patterned_row(ops, apow[i], 0, 0, 0, 0, 0) for i in range(m)]
+    gens += [patterned_row(ops, 0, apow[i], 0, 0, 0, 0) for i in range(m)]
+    gens += [patterned_row(ops, 0, 0, 1, 0, 0, 0), patterned_row(ops, 0, 0, 0, 0, 0, 1)]
+    return np.array(gens)
+
+
 def build_h_matrix(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = None) -> FiniteGroup:
     """The patterned 5x5 group of order q^6, generated by 2m+2 elements."""
     q = field.q
@@ -354,20 +404,12 @@ def build_h_matrix(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = 
         raise CapExceeded(f"hmat order {q**6} exceeds cap {cap}")
     ops = FieldOps(field)
     back = PatternedU5Backend(ops)
-    apow = ops.alpha_pow
-    m = field.m
-    gens = []
-    for i in range(m):
-        gens.append(patterned_row(ops, apow[i], 0, 0, 0, 0, 0))
-    for i in range(m):
-        gens.append(patterned_row(ops, 0, apow[i], 0, 0, 0, 0))
-    gens.append(patterned_row(ops, 0, 0, 1, 0, 0, 0))
-    gens.append(patterned_row(ops, 0, 0, 0, 0, 0, 1))
     chart = dict(zip(H_CHART, _chart_rows(q, 6).T))
     g = FiniteGroup(
         name or f"hmat:p={field.p},m={field.m}", back,
         patterned_row(ops, *(chart[t] for t in "abcdef")),
-        generators=back.encode(np.array(gens)).tolist(), cap=cap, field=field, kind="hmat",
+        generators=back.encode(_h_generator_rows(ops, field.m)).tolist(),
+        cap=cap, field=field, kind="hmat",
     )
     z = g.center()
     zrows = g.rows[z.members]
@@ -378,19 +420,111 @@ def build_h_matrix(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = 
 
 
 def build_h_mod_center(field: FieldSpec, cap: int = DEFAULT_CAP, name: str | None = None) -> FiniteGroup:
-    """hmat modulo its center: a quotient group of order q^5."""
-    hm = build_h_matrix(field, cap=cap)
-    z = hm.center()
-    if not z.same_as(hm.gamma(4)):
-        raise GroupError("patterned group center differs from the last central term")
-    g = hm.quotient(z, name=name or f"hmod:p={field.p},m={field.m}")
-    g.kind = "hmod"
-    if g.order != field.q**5:
-        raise GroupError(f"{g.name}: expected order {field.q**5}, built {g.order}")
-    leader_rows = hm.rows[g.backend.leaders]
-    if np.any(leader_rows[:, H_SLOTS["f"]]):
-        raise GroupError("a coset leader carries a nonzero corner entry")
+    """hmat modulo its center, of order q^5, on the q^5 pattern rows with
+    f = 0 (HModBackend): hmat's q^6 elements are never enumerated.
+
+    That this chart is hmat/Z(hmat), with the generators of hmat/Z being
+    the images of hmat's, is proved here on rows, F being the corner axis:
+    - F is central and zeroing f a homomorphism with kernel F, because
+      slot f is in no middle pair of the 5x5 product (checked on the
+      backend, no product needed);
+    - the constructor's closure over the images of hmat's generators
+      checks each product against the pattern, so the pattern rows with
+      f = 0 form a group modulo F, and the pattern, their preimage, is the
+      group hmat;
+    - gamma_4(hmat) = F: the weight-4 commutators of hmat's generators
+      vanish off the corner and their corner entries span GF(q)
+      (_check_gamma4).  So F lies in the subgroup the generators generate,
+      which therefore is hmat;
+    - Z(hmat) = F: no row but the identity commutes with every generator
+      of hmat (_central_leaders).
+    """
+    q = field.q
+    if q**5 > cap:
+        raise CapExceeded(f"hmod order {q**5} exceeds cap {cap}")
+    ops = FieldOps(field)
+    back, u5 = HModBackend(ops), PatternedU5Backend(ops)
+    f = H_SLOTS["f"]
+    if any(f in pair for pairs in back.middle for pair in pairs):
+        raise GroupError("the corner entry feeds another entry of a product")
+    gens = _h_generator_rows(ops, field.m)
+    u5.check_rows(gens)
+    chart = dict(zip(HMOD_CHART, _chart_rows(q, 5).T))
+    g = FiniteGroup(
+        name or f"hmod:p={field.p},m={field.m}", back,
+        patterned_row(ops, *(chart[t] for t in "abcde"), 0),
+        # the chart code skips the corner: the codes of the generators' images
+        generators=sorted_unique(back.encode(gens)).tolist(),
+        cap=cap, field=field, kind="hmod",
+    )
+    _check_gamma4(u5, gens)
+    if len(_central_leaders(u5, g.rows, gens)) != 1:
+        raise GroupError("patterned group center is not the corner axis")
     return g
+
+
+def _commute(u5: PatternedU5Backend, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Whether each row commutes with the row g, in U5."""
+    g = np.broadcast_to(g, rows.shape)
+    return np.all(u5.mul_rows(rows, g) == u5.mul_rows(g, rows), axis=1)
+
+
+def _commutators(u5: PatternedU5Backend, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] = (yx)^-1 (xy), row by row, in U5."""
+    return u5.mul_rows(u5.inv_rows(u5.mul_rows(y, x)), u5.mul_rows(x, y))
+
+
+def _check_gamma4(u5: PatternedU5Backend, gens: np.ndarray) -> None:
+    """gamma_4 of <gens> is the corner axis F, or GroupError.
+
+    gamma_4 is generated modulo gamma_5 by the left-normed commutators
+    [[[g, h], k], l] of the generators.  When these lie in F, which is
+    central, the weight-5 ones vanish, so gamma_5 = gamma_6 and, the group
+    being nilpotent, gamma_5 = 1: gamma_4 is generated by them.  It is F
+    exactly when their corner entries span GF(q) additively.
+    """
+    f = H_SLOTS["f"]
+    w = gens
+    for _ in range(3):
+        w = _commutators(u5, np.repeat(w, len(gens), axis=0), np.tile(gens, (len(w), 1)))
+    if np.any(np.delete(w, f, axis=1)):
+        raise GroupError("a weight-4 commutator of the generators leaves the corner axis")
+    ops = u5.ops
+    span = np.zeros(ops.q, dtype=bool)
+    span[0] = True
+    for v in sorted_unique(w[:, f]).tolist():
+        if not span[v]:  # the span grows by its shifts by v, 2v, ..., (p-1)v
+            shifted = np.flatnonzero(span)
+            for _ in range(ops.spec.p - 1):
+                shifted = ops.add(shifted, v)
+                span[shifted] = True
+    if not span.all():
+        raise GroupError("the weight-4 commutators do not span the corner axis")
+
+
+def _central_leaders(u5: PatternedU5Backend, rows: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """The rows (pattern rows with f = 0, one per coset of the corner axis
+    F) that commute with every row of gens, in U5.
+
+    For the first generator g the scan reads only the q^4 rows with a = 0.
+    The a-axis rows T, one per value of a, are checked to commute with g.
+    Slot a is additive (no middle pair), so each row x is x' * t with t in
+    T of the same a and x' = x * t^-1 of a = 0, a pattern row up to F; F is
+    central, so x commutes with g exactly when x' does, and the rows that
+    commute with g are those of C0 * T, for C0 the rows of a = 0 that do.
+    """
+    ops = u5.ops
+    g, rest = gens[0], gens[1:]
+    axis = patterned_row(ops, np.arange(ops.q), 0, 0, 0, 0, 0)
+    if not _commute(u5, axis, g).all():
+        raise GroupError("the a-axis does not commute with the first generator")
+    base = rows[rows[:, H_SLOTS["a"]] == 0]
+    c0 = base[_commute(u5, base, g)]
+    cand = u5.mul_rows(np.repeat(c0, len(axis), axis=0), np.tile(axis, (len(c0), 1)))
+    cand[:, H_SLOTS["f"]] = 0
+    for g in rest:
+        cand = cand[_commute(u5, cand, g)]
+    return cand
 
 
 def build_cyclic(n: int, name: str | None = None) -> FiniteGroup:
@@ -457,9 +591,7 @@ def quintuple_coords(g: FiniteGroup, idx) -> np.ndarray:
     if g.kind == "quint":
         return g.rows[idx].astype(np.int64)
     if g.kind == "hmod":
-        hm = g.backend.parent
-        lead = g.backend.leaders[idx]
-        return hm.rows[lead][:, [H_SLOTS[t] for t in ("a", "b", "c", "d", "e")]].astype(np.int64)
+        return g.rows[idx][:, [H_SLOTS[t] for t in "abcde"]].astype(np.int64)
     raise GroupError("five-coordinate view exists for quint and hmod kinds")
 
 
@@ -469,11 +601,8 @@ def quintuple_index(g: FiniteGroup, coords) -> int:
     if g.kind == "quint":
         return int(g.index_of_rows(coords)[0])
     if g.kind == "hmod":
-        hm = g.backend.parent
-        ops = hm.backend.ops
-        row = patterned_row(ops, *(coords[0].tolist() + [0]))
-        parent_idx = hm.index_of_rows(row[None, :])[0]
-        return int(g.backend.coset_of[parent_idx])
+        row = patterned_row(g.backend.ops, *coords[0].tolist(), 0)
+        return int(g.index_of_rows(row[None, :])[0])
     raise GroupError("five-coordinate view exists for quint and hmod kinds")
 
 

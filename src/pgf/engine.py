@@ -17,9 +17,9 @@ radices and backend.check_rows accepts it.  The constructor asserts the
 last two on every stored row, and encode is one to one on the rows that
 pass both, so index_of_rows gathers no stored row.  Every universe pgf
 builds is a dense chart: the full coordinate universes (quint, u3, hmat,
-xab, cyclic) and the quotients, whose rows are their coset ids.  Only a
-universe a caller builds from a sparse set of rows looks codes up with a
-binary search.
+hmod on its pattern rows with corner entry 0, xab, cyclic) and the
+quotients, whose rows are their coset ids.  Only a universe a caller
+builds from a sparse set of rows looks codes up with a binary search.
 
 A quotient G/N takes the least member of each coset as its leader, and
 numbers the cosets by their leaders.  The leaders come from flooding
@@ -44,9 +44,11 @@ once per group and read-only.
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
 rows that hold element indices (coset ids of quotients, products).
-Given generators without assume_generates, it proves with closure_members
-that they span the universe; on a dense chart each product is compared
-with a stored row, so the stored rows are also proved closed.
+Given generators without assume_generates, it proves with one Dimino
+closure that they span the universe; on a dense chart each product is
+compared with a stored row, so the stored rows are also proved closed.
+The closure reads no product twice, so it runs past the memo table, and a
+group leaves its constructor without one.
 
 There is one closure, Dimino's (_Span), grown by whole cosets: about n
 products plus one per coset representative and generator, not the n * k
@@ -267,8 +269,10 @@ class FiniteGroup:
             if not 0 <= g < n:
                 raise GroupError("generator index out of range")
         # center/series/conjugacy shortcuts all lean on the generators
-        # actually generating, so an unverified explicit list is checked here
-        if not assume_generates and len(self.closure_members(self.generators)) != n:
+        # actually generating, so an unverified explicit list is checked
+        # here; Dimino reads no product twice, so the proof skips the memo
+        # table and a group leaves its constructor without one
+        if not assume_generates and np.count_nonzero(_Span(self, self.generators, memo=False).known) != n:
             raise GroupError("declared generators do not generate the group")
 
     # -- primitive operations ---------------------------------------------
@@ -813,8 +817,8 @@ class _Span:
     by every generator (each r*t lies in a known coset), so it is <used>.
     """
 
-    def __init__(self, group: FiniteGroup, gens):
-        self.group = group
+    def __init__(self, group: FiniteGroup, gens, memo: bool = True):
+        self.mul = group.mul_many if memo else group._mul_index_raw
         self.known = np.zeros(group.order, dtype=bool)
         self.known[group.identity] = True
         self.members = np.array([group.identity], dtype=np.int64)
@@ -832,14 +836,14 @@ class _Span:
         if self.known[s]:
             return
         self.used.append(s)
-        g, h, used = self.group, self.members, np.asarray(self.used, dtype=np.int64)
+        h, used = self.members, np.asarray(self.used, dtype=np.int64)
         blocks = [h]
         reps = np.array([s], dtype=np.int64)
         while len(reps):
             width = len(h) if len(h) > 1 else 0  # a coset of {e} is its representative
             left = np.concatenate([np.tile(h[:width], len(reps)), np.repeat(reps, len(used))])
             right = np.concatenate([np.repeat(reps, width), np.tile(used, len(reps))])
-            prods = g.mul_many(left, right)
+            prods = self.mul(left, right)
             cosets = prods[:width * len(reps)].reshape(len(reps), width) if width else reps[:, None]
             first = np.unique(cosets.min(axis=1), return_index=True)[1]
             cosets = cosets[first]

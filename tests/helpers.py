@@ -12,7 +12,8 @@ and quintuple_commutator_oracle evaluates the quint commutator in closed
 form.  stored_rows maps each stored row to its index, with no encode,
 matrix_product_oracle multiplies the stored rows of a unitriangular matrix
 group over a prime field as integer matrices and looks the products up
-there.  bracket_table tabulates every bracket of a commutation map's
+there, and feeding_corner mutates a 5x5 backend so that the corner entry
+(4,0) feeds entry (4,1).  bracket_table tabulates every bracket of a commutation map's
 coset leaders, the n^2 pairs its generator columns stand for;
 theta_from_all_brackets forces an isoclinism's theta from every pair of
 that table, square_on_all_pairs checks a witness's commuting square on
@@ -30,6 +31,7 @@ import math
 import numpy as np
 
 import pgf.engine
+from pgf.constructions import H_SLOTS
 from pgf.engine import (
     DEFAULT_CAP,
     Backend,
@@ -324,6 +326,19 @@ def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
     prod = unpack(g.rows[i]) @ unpack(g.rows[j]) % g.field.p
     index = stored_rows(g)
     return [index.get(tuple(row)) for row in prod[:, r, c].tolist()]
+
+
+def feeding_corner(base):
+    """A subclass of the 5x5 matrix backend base whose product adds
+    a_(4,0) * b_(1,0) to entry (4,1): the corner feeds another entry."""
+
+    class FeedingCorner(base):
+        def __init__(self, ops):
+            super().__init__(ops)
+            e = H_SLOTS["e"]
+            self.middle[e] = self.middle[e] + [(H_SLOTS["f"], H_SLOTS["a"])]
+
+    return FeedingCorner
 
 
 def bracket_table(cm) -> np.ndarray:

@@ -57,6 +57,15 @@ def test_invariants_cap_exit(capsys):
     assert "cap" in err
 
 
+def test_invariants_cap_applies_to_the_hmod_chart(capsys):
+    # the build enumerates hmod's 11^5 elements, within the cap, and not
+    # hmat's 11^6, beyond it
+    code, d, _ = run_json(capsys, ["invariants", "hmod:p=11,m=1"])
+    assert code == 0
+    assert (d["order"], d["class"], d["conjugate_type"]) == (11**5, 3, [1, 121])
+    assert (d["center_order"], d["derived_order"], d["gamma3_order"]) == (121, 1331, 121)
+
+
 def test_bad_spec_exit(capsys):
     code, _, err = run(capsys, ["invariants", "hmod:3,1"])
     assert code == 2

@@ -34,10 +34,10 @@ from pgf.constructions import (
 )
 import pgf.constructions
 import pgf.engine
-from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError
-from pgf.fields import FieldError, FieldOps, ff_add, ff_mul, ff_sub, find_irreducible
+from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError, is_homomorphism
+from pgf.fields import FieldError, FieldOps, FieldSpec, ff_add, ff_mul, ff_sub, find_irreducible
 
-from helpers import from_closure, matrix_product_oracle, quintuple_commutator_oracle
+from helpers import feeding_corner, from_closure, matrix_product_oracle, quintuple_commutator_oracle
 
 F31 = find_irreducible(3, 1)
 F51 = find_irreducible(5, 1)
@@ -318,6 +318,8 @@ def test_chart_build_matches_breadth_first_closure(kind, field):
 def test_chart_generator_indices_are_chart_codes():
     assert build_h_matrix(F32).generators == [9, 27, 59049, 177147, 6561, 81]
     assert build_u3(F32).generators == [81, 243, 1, 3]
+    # hmat's generators modulo F; the corner generator's image is the identity
+    assert build_h_mod_center(F32).generators == [0, 9, 27, 729, 6561, 19683]
 
 
 def test_hmat_two_generators_suffice():
@@ -343,18 +345,128 @@ def test_hmod_structure():
     assert not g.camina_check()
 
 
+HMOD_ORACLE_CASES = [F31, F51, F32, FieldSpec(3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize("field", HMOD_ORACLE_CASES, ids=["q3", "q5", "q9", "q9-alt"])
+def test_hmod_equals_the_quotient_of_hmat(field):
+    # the oracle: hmat enumerated, divided by its center through the engine
+    g = build_h_mod_center(field)
+    hm = build_h_matrix(field)
+    quo = hm.quotient(hm.center())
+    assert np.array_equal(g.rows, hm.rows[quo.backend.leaders])
+    assert g.generators == quo.generators
+    assert [g.describe(i) for i in (0, 1, g.order - 1)] == [quo.describe(i) for i in (0, 1, quo.order - 1)]
+    ids = np.arange(g.order)
+    assert is_homomorphism(g, quo, ids, g.generators, ids)
+    assert is_homomorphism(quo, g, ids, quo.generators, ids)
+
+
+def test_hmod_build_allocates_no_memo_table():
+    # 3125 is within TABLE_CAP: the build's closure proof runs unmemoized
+    g = build_group("hmod:p=5,m=1")
+    assert g.order <= TABLE_CAP
+    assert g._table is None
+
+
+@pytest.mark.parametrize("spec", ["hmod:p=3,m=2", "hmod:p=7,m=1"])
+def test_hmod_build_multiplies_at_most_three_rows_per_element(monkeypatch, spec):
+    rows = []
+    mul_rows = MatrixBackend.mul_rows
+    monkeypatch.setattr(MatrixBackend, "mul_rows", lambda self, a, b: rows.append(len(a)) or mul_rows(self, a, b))
+    g = build_group(spec)
+    assert 0 < sum(rows) <= 3 * g.field.q**5
+
+
+def test_hmod_refuses_a_corner_that_feeds_another_entry(monkeypatch):
+    monkeypatch.setattr(pgf.constructions, "HModBackend", feeding_corner(pgf.constructions.HModBackend))
+    with pytest.raises(GroupError, match="corner entry feeds"):
+        build_h_mod_center(F31)
+
+
+def _dropped(rows, k):
+    return np.delete(rows, k, axis=0)
+
+
+def _doubled_b(rows, k):
+    # y_k becomes 2 * y_0, which lies in <y_0>
+    out = rows.copy()
+    out[k] = patterned_row(FieldOps(F32), 0, 2, 0, 0, 0, 0)
+    return out
+
+
+def _untied(rows, k):
+    out = rows.copy()
+    out[k, H_SLOTS["a2"]] = 0
+    return out
+
+
+@pytest.mark.parametrize("edit,k,match", [
+    (_dropped, 2, "do not generate"),      # y_0
+    (_dropped, 3, "do not generate"),      # y_1
+    (_doubled_b, 3, "do not generate"),
+    (_untied, 0, "tied"),
+], ids=["drop-y0", "drop-y1", "y1-in-span-of-y0", "untied-x0"])
+def test_hmod_rejects_a_dropped_or_wrong_generator(monkeypatch, edit, k, match):
+    gen_rows = pgf.constructions._h_generator_rows
+    monkeypatch.setattr(pgf.constructions, "_h_generator_rows", lambda ops, m: edit(gen_rows(ops, m), k))
+    with pytest.raises(GroupError, match=match):
+        build_h_mod_center(F32)
+
+
+def test_gamma4_check_needs_corner_entries_spanning_the_field():
+    ops = FieldOps(F32)
+    u5 = PatternedU5Backend(ops)
+    gens = pgf.constructions._h_generator_rows(ops, 2)
+    pgf.constructions._check_gamma4(u5, gens)
+    # the a-axis and the corner commute, so every commutator vanishes
+    with pytest.raises(GroupError, match="span"):
+        pgf.constructions._check_gamma4(u5, gens[[0, 1, 5]])
+    # one a-generator and one b-generator: the corner entries of the
+    # weight-4 commutators lie in GF(3), a line of GF(9)
+    with pytest.raises(GroupError, match="span"):
+        pgf.constructions._check_gamma4(u5, gens[[0, 2]])
+    # a product whose corner feeds entry e has weight-4 commutators off it
+    with pytest.raises(GroupError, match="leaves the corner axis"):
+        pgf.constructions._check_gamma4(feeding_corner(PatternedU5Backend)(ops), gens)
+
+
+def test_central_leaders_scan_finds_what_a_full_scan_finds():
+    g = build_h_mod_center(F31)
+    ops = g.backend.ops
+    u5 = PatternedU5Backend(ops)
+    gens = pgf.constructions._h_generator_rows(ops, 1)
+
+    def full_scan(gens):
+        keep = np.ones(g.order, dtype=bool)
+        for t in gens:
+            t = np.broadcast_to(t, g.rows.shape)
+            keep &= np.all(u5.mul_rows(g.rows, t) == u5.mul_rows(t, g.rows), axis=1)
+        return g.rows[keep]
+
+    def codes(rows):
+        return sorted(g.backend.encode(rows).tolist())
+
+    for subset in ([0, 1, 2, 3], [0, 2], [0, 3], [0]):
+        got = pgf.constructions._central_leaders(u5, g.rows, gens[subset])
+        assert codes(got) == codes(full_scan(gens[subset]))
+    assert codes(pgf.constructions._central_leaders(u5, g.rows, gens)) == [g.identity]
+    # the a-axis must commute with the first generator
+    with pytest.raises(GroupError, match="a-axis"):
+        pgf.constructions._central_leaders(u5, g.rows, gens[[1, 0]])
+
+
 # -- dense charts ------------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def hmod_and_hmat(field):
-    g = build_h_mod_center(field)
-    return g, g.backend.parent
+def cached_build(build, field):
+    return build(field)
 
 
 @pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
 def test_hmat_index_is_the_chart_code(field):
-    _, hm = hmod_and_hmat(field)
+    hm = cached_build(build_h_matrix, field)
     q = field.q
     a, b, c, d, e, f = np.indices((q,) * 6).reshape(6, -1)
     rows = patterned_row(hm.backend.ops, a, b, c, d, e, f)
@@ -367,16 +479,24 @@ def test_hmat_index_is_the_chart_code(field):
 
 @pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
 def test_hmod_coset_id_is_the_chart_code(field):
-    g, _ = hmod_and_hmat(field)
+    # hmod's elements are the pattern rows with f = 0, indexed by the chart
+    # code over (d, a, e, c, b)
+    g = cached_build(build_h_mod_center, field)
     q = field.q
     a, b, c, d, e = np.indices((q,) * 5).reshape(5, -1)
     ids = d + a * q + e * q**2 + c * q**3 + b * q**4
     assert np.array_equal(quintuple_coords(g, ids), np.stack([a, b, c, d, e], axis=1))
+    rows = patterned_row(g.backend.ops, a, b, c, d, e, 0)
+    assert np.array_equal(g.index_of_rows(rows), ids)
+    assert np.array_equal(g.rows[ids], rows)
+    # the same element order as hmat's chart code, f = 0
+    hm_codes = PatternedU5Backend(g.backend.ops).encode(g.rows)
+    assert bool(np.all(np.diff(hm_codes) > 0))
 
 
 @pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
 def test_hmat_lookup_rejects_rows_off_the_chart(field):
-    _, hm = hmod_and_hmat(field)
+    hm = cached_build(build_h_matrix, field)
     ops = hm.backend.ops
     q = field.q
     untied = patterned_row(ops, 1, 1, 0, 0, 0, 0).copy()
@@ -391,6 +511,21 @@ def test_hmat_lookup_rejects_rows_off_the_chart(field):
     for row in (untied, past, below):
         with pytest.raises(GroupError, match="universe"):
             hm.index_of_rows(row[None, :])
+
+
+@pytest.mark.parametrize("field", [F31, F32], ids=["q3", "q9"])
+def test_hmod_lookup_rejects_rows_off_the_chart(field):
+    g = cached_build(build_h_mod_center, field)
+    ops = g.backend.ops
+    untied = patterned_row(ops, 1, 1, 0, 0, 0, 0).copy()
+    untied[H_SLOTS["a2"]] = 2
+    # a pattern row of hmat that is not a coset leader; its code ignores f
+    cornered = patterned_row(ops, 0, 0, 0, 0, 0, 1)
+    codes = g.backend.encode(np.stack([untied, cornered]))
+    assert 0 <= codes[0] < g.order and codes[1] == g.identity
+    for row in (untied, cornered):
+        with pytest.raises(GroupError, match="universe"):
+            g.index_of_rows(row[None, :])
 
 
 @pytest.mark.parametrize("spec", ["u3:p=17,m=1", "hmat:p=5,m=1"])

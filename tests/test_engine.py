@@ -586,8 +586,8 @@ def test_basis_of_a_subgroup_over_itself_is_empty():
 def test_constructor_rejects_bad_index_rows():
     from pgf.constructions import build_group
 
-    q = build_group("hmod:p=7,m=1")  # rows are coset ids, int64 like every index row
-    assert q.rows.dtype == np.int64 and np.array_equal(q.rows[:, 0], np.arange(q.order))
+    q = build_group("hmod:p=7,m=1").central_quotient()  # rows are coset ids, int64 like every index row
+    assert q.order == 7**3 and q.rows.dtype == np.int64 and np.array_equal(q.rows[:, 0], np.arange(q.order))
     with pytest.raises(GroupError, match="duplicate"):
         FiniteGroup("dup", q.backend, np.vstack([q.rows, q.rows[-1:]]))
     with pytest.raises(GroupError, match="identity"):

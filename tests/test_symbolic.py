@@ -1,20 +1,26 @@
-"""Symbolic proofs over Z[coordinates] for the quint product rule.
+"""Symbolic proofs over Z[coordinates] for the quint and hmat product rules.
 
-The rule of QuintupleBackend is a polynomial map, so an identity between
-polynomials with integer coefficients holds over every field, GF(p^m)
-included.  Two facts are proved here: the rule is associative with
-inverse (-a, -b, ab - c, -d, -e), and quintuple_commutator_oracle's closed
-form is g^-1 h^-1 g h.  The symbolic rule is tied to the engine by
-evaluating it, and the closed form, on every pair of quint:p=3,m=1.  A
-rule with one mutated coefficient fails both the proofs and the tie.
+The rule of QuintupleBackend and the 5x5 matrix product are polynomial
+maps, so an identity between polynomials with integer coefficients holds
+over every field, GF(p^m) included.  For quint, the rule is associative
+with inverse (-a, -b, ab - c, -d, -e), and quintuple_commutator_oracle's
+closed form is g^-1 h^-1 g h.  For hmat, the product of two patterned
+matrices is patterned, the corner entry (4,0) feeds no other entry of a
+product or an inverse in U5 (so hmod, hmat with its corner zeroed, is a
+quotient of hmat), and dropping the corner from a patterned product is the
+quint rule.  Each symbolic rule is tied to the engine by evaluating it on
+every pair of quint:p=3,m=1, or of hmat:p=3,m=1 against
+PatternedU5Backend.mul_rows.  A rule with one mutated coefficient, or a
+pattern with one mutated tie, fails both the proofs and the tie.
 """
 
 import numpy as np
 import pytest
 
-from pgf.constructions import build_group
+from pgf.constructions import H_SLOTS, MatrixBackend, PatternedU5Backend, build_group
+from pgf.fields import FieldOps, find_irreducible
 
-from helpers import quintuple_commutator_oracle
+from helpers import feeding_corner, quintuple_commutator_oracle
 
 sympy = pytest.importorskip("sympy")
 
@@ -113,3 +119,111 @@ def test_a_mutated_coefficient_fails_the_proofs_and_the_tie(term):
     assert not associative(mutated)
     assert not closed_form_holds(mutated)
     assert not engine_agrees(mutated)
+
+
+# -- hmat: the pattern and its corner ------------------------------------------
+
+POSITIONS = [(r, c) for r in range(5) for c in range(r)]  # MatrixBackend's packed order
+A6 = sympy.symbols("a b c d e f")
+X6 = sympy.symbols("x y z u v w")
+
+# the coefficients of the pattern's tied entries, as PatternedU5Backend
+# checks them: (3,2) = a, (4,3) = b, (4,2) = c, (3,1) = ab - c
+TIES = {"a2": 1, "b2": 1, "c2": 1, "ab": 1, "c": -1}
+
+
+def pattern(params, ties=TIES):
+    """The patterned 5x5 matrix of free parameters (a, b, c, d, e, f)."""
+    a, b, c, d, e, f = params
+    k = ties
+    m = sympy.eye(5)
+    m[1, 0], m[2, 0], m[2, 1], m[3, 0], m[4, 0], m[4, 1] = a, c, b, d, f, e
+    m[3, 1] = k["ab"] * a * b + k["c"] * c
+    m[3, 2], m[4, 3], m[4, 2] = k["a2"] * a, k["b2"] * b, k["c2"] * c
+    return m
+
+
+def free_parameters(m):
+    """(a, b, c, d, e, f) of a patterned matrix."""
+    return m[1, 0], m[2, 1], m[2, 0], m[3, 0], m[4, 1], m[4, 0]
+
+
+def pattern_closed(ties=TIES) -> bool:
+    """A patterned product is the patterned matrix of its free entries."""
+    prod = pattern(A6, ties) * pattern(X6, ties)
+    return vanishes(prod - pattern(free_parameters(prod), ties))
+
+
+def corner_feeds_nothing() -> bool:
+    """In U5, no entry of A*B or of A^-1 but (4,0) holds A's or B's (4,0)
+    entry; A^-1 is the finite Neumann series of A - I, checked against A."""
+    a, b = (sympy.Matrix(5, 5, lambda r, c: sympy.Symbol(f"{name}{r}{c}") if r > c else int(r == c))
+            for name in "ab")
+    n = a - sympy.eye(5)
+    inv = sum(((-n) ** k for k in range(1, 5)), sympy.eye(5))
+    corner = {a[4, 0], b[4, 0]}
+    prod = a * b
+    return vanishes(a * inv - sympy.eye(5)) and not any(
+        (prod[rc].free_symbols | inv[rc].free_symbols) & corner for rc in POSITIONS if rc != (4, 0))
+
+
+def corner_dropped_is_the_quint_rule(ties=TIES) -> bool:
+    prod = pattern(A6, ties) * pattern(X6, ties)
+    return vanishes(p - q for p, q in zip(free_parameters(prod)[:5], quint_rule(A6[:5], X6[:5])))
+
+
+def pattern_backend_agrees(ties=TIES, back_class=PatternedU5Backend) -> bool:
+    """The symbolic patterned product against the backend's mul_rows, and
+    the corner lemma against it (zeroing both operands' corners moves the
+    product at (4,0) alone), on every pair of hmat:p=3,m=1."""
+    g = build_group("hmat:p=3,m=1")
+    back = back_class(g.backend.ops)
+    n, p, f = g.order, g.field.p, H_SLOTS["f"]
+    prod = pattern(A6, ties) * pattern(X6, ties)
+    rule = sympy.lambdify(A6 + X6, [prod[rc] for rc in POSITIONS], "numpy")
+    params = g.rows[:, [H_SLOTS[t] for t in "abcdef"]].astype(np.int64)
+    cornerless = g.rows.copy()
+    cornerless[:, f] = 0
+    step = 81
+    for s in range(0, n, step):  # step * n pairs at a time
+        i, j = np.repeat(np.arange(s, s + step), n), np.tile(np.arange(n), step)
+        got = back.mul_rows(g.rows[i], g.rows[j])
+        want = np.stack(np.broadcast_arrays(*rule(*params[i].T, *params[j].T)), axis=1) % p
+        if not np.array_equal(want, got):
+            return False
+        moved = back.mul_rows(cornerless[i], cornerless[j]) != got
+        if np.any(np.delete(moved, f, axis=1)):
+            return False
+    return True
+
+
+def test_patterned_product_is_patterned():
+    assert pattern_closed()
+
+
+def test_corner_feeds_no_other_entry():
+    assert corner_feeds_nothing()
+    # the backend agrees: slot f is in no middle pair
+    f = H_SLOTS["f"]
+    middle = MatrixBackend(FieldOps(find_irreducible(3, 1)), 5).middle
+    assert not any(f in pair for pairs in middle for pair in pairs)
+
+
+def test_dropping_the_corner_is_the_quint_rule():
+    assert corner_dropped_is_the_quint_rule()
+
+
+def test_pattern_and_corner_match_the_backend_on_all_pairs():
+    assert pattern_backend_agrees()
+
+
+def test_a_corner_that_feeds_another_entry_fails_the_tie():
+    assert not pattern_backend_agrees(back_class=feeding_corner(PatternedU5Backend))
+
+
+@pytest.mark.parametrize("tie", list(TIES))
+def test_a_mutated_tie_fails_the_proof_and_the_tie(tie):
+    # doubled, each coefficient moves by a unit mod 3
+    mutated = {**TIES, tie: 2 * TIES[tie]}
+    assert not pattern_closed(mutated)
+    assert not pattern_backend_agrees(mutated)
