@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError, is_homomorphism, sorted_unique
+from .engine import DEFAULT_CAP, Backend, CapExceeded, FiniteGroup, GroupError, sorted_unique
 from .fields import FieldOps, FieldSpec, find_irreducible
 
 
@@ -527,25 +527,6 @@ def _central_leaders(u5: PatternedU5Backend, rows: np.ndarray, gens: np.ndarray)
     return cand
 
 
-def build_cyclic(n: int, name: str | None = None) -> FiniteGroup:
-    class _Cyclic(Backend):
-        def __init__(self, n):
-            self.n = n
-            self.width = 1
-            self.radices = (n,)
-
-        def mul_rows(self, a, b):
-            return (a + b) % self.n
-
-        def inv_rows(self, a):
-            return (-a) % self.n
-
-    if n > np.iinfo(np.int16).max:
-        raise GroupError(f"cyclic order {n} too large for int16 coordinates")
-    rows = np.arange(n, dtype=np.int16)[:, None]
-    return FiniteGroup(name or f"cyclic{n}", _Cyclic(n), rows, generators=[1 % n])
-
-
 def build_direct_product_with_elem_abelian(
     inner: FiniteGroup, k: int, cap: int = DEFAULT_CAP, name: str | None = None
 ) -> FiniteGroup:
@@ -617,27 +598,6 @@ def identification_map(hmod: FiniteGroup, quint: FiniteGroup) -> np.ndarray:
     if len(sorted_unique(phi)) != hmod.order or hmod.order != quint.order:
         raise GroupError("identification map is not a bijection")
     return phi
-
-
-def verify_quintuple_identification(hmod: FiniteGroup, quint: FiniteGroup) -> dict:
-    """Check that dropping the corner entry is an isomorphism hmod -> quint.
-
-    identification_map proves the map a bijection, and the homomorphism law
-    is proved on the edges x -> x*s for every x and every s in
-    hmod.generators (engine.is_homomorphism), so the check is exhaustive at
-    every order: it covers every product with order * len(generators) pairs.
-    """
-    phi = identification_map(hmod, quint)
-    n = hmod.order
-    if not is_homomorphism(hmod, quint, np.arange(n), hmod.generators, phi):
-        raise GroupError("identification fails the homomorphism law")
-    return {
-        "order": n,
-        "bijective": True,
-        "exhaustive": True,
-        "pairs_checked": n * len(hmod.generators),
-        "passed": True,
-    }
 
 
 # -- spec strings ----------------------------------------------------------

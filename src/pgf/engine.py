@@ -17,7 +17,7 @@ radices and backend.check_rows accepts it.  The constructor asserts the
 last two on every stored row, and encode is one to one on the rows that
 pass both, so index_of_rows gathers no stored row.  Every universe pgf
 builds is a dense chart: the full coordinate universes (quint, u3, hmat,
-hmod on its pattern rows with corner entry 0, xab, cyclic) and the
+hmod on its pattern rows with corner entry 0, xab) and the
 quotients, whose rows are their coset ids.  Only a universe a caller
 builds from a sparse set of rows looks codes up with a binary search.
 
@@ -27,12 +27,18 @@ labels to their minimum along right multiplication by a generating set of
 N, so building G/N costs n * rank(N) products (plus the normality check),
 not the n * |N| of multiplying the group by every member of N.
 
-Products are memoized in a 2-D n x n int32 array, read as table[i, j],
-when the order is at most TABLE_CAP; larger groups multiply on demand
-from the coordinate rows, CHUNK_PRODUCTS at a time.  The class-3
-identity suite, exhaustive up to order 300, walks its triples one a-plane
-at a time over n x n tables.  Element enumeration is refused beyond a
-hard cap (default 10**6).
+Products are memoized when the order is at most TABLE_CAP, in a flat
+np.zeros(n * n) int16 table whose entry i*n + j holds the index of i * j
+plus one, 0 meaning not yet computed.  It is read with take and written
+with put, only the misses going to the row arithmetic.  np.zeros maps
+zero pages as they are first touched, so a group pays for the pages its
+products reach, not for a pass that fills all n * n entries before the
+first read (19.5 MB at order 3125); TABLE_CAP stays below 2**15 so that
+every entry fits in int16.  Larger groups multiply on demand from the
+coordinate rows, CHUNK_PRODUCTS at a time.  The class-3 identity suite,
+exhaustive up to order 300, walks its triples one a-plane at a time over
+n x n tables.  Element enumeration is refused beyond a hard cap (default
+10**6).
 
 A group derives these once and stores them: its center, conjugacy
 classes, lower central series, element orders, inverses (row by row, as
@@ -317,21 +323,34 @@ class FiniteGroup:
         return self.index_of_rows(self.backend.mul_rows(self.rows.take(i, axis=0), self.rows.take(j, axis=0)))
 
     def mul_many(self, i, j) -> np.ndarray:
+        """Products i * j of element indices in 0..n-1, broadcast together.
+
+        Up to TABLE_CAP they are memoized (module docstring).  A read does
+        not check its indices, which would cost as much as the read; the
+        misses are checked before they are stored, so no entry is ever
+        stored under a pair it is not the product of.
+        """
         i = _as_index_array(i)
         j = _as_index_array(j)
-        i, j = np.broadcast_arrays(i, j)
+        if i.shape != j.shape:  # broadcast_arrays costs more than a small batch's read
+            i, j = np.broadcast_arrays(i, j)
         shape = i.shape
         i = i.ravel()
         j = j.ravel()
-        if self.order <= self._table_cap:
+        n = self.order
+        if n <= self._table_cap:
             if self._table is None:
-                self._table = np.full((self.order, self.order), -1, dtype=np.int32)
-            out = self._table[i, j].astype(np.int64)
+                self._table = np.zeros(n * n, dtype=np.int16)  # product + 1; 0 is unknown
+            flat = i * n + j
+            out = self._table.take(flat).astype(np.int64)
+            out -= 1
             miss = out < 0
             if miss.any():
                 im, jm = i[miss], j[miss]
+                if im.view(np.uint64).max() >= n or jm.view(np.uint64).max() >= n:
+                    raise IndexError(f"element index out of range 0..{n - 1}")
                 prod = self._mul_index_raw(im, jm)
-                self._table[im, jm] = prod
+                self._table.put(flat[miss], prod + 1)
                 out[miss] = prod
             return out.reshape(shape)
         return self._mul_index_raw(i, j).reshape(shape)
@@ -672,9 +691,12 @@ class FiniteGroup:
         Exhaustive over all element tuples when the order n is at most
         IDENTITY_EXHAUSTIVE_LIMIT (read at call time), otherwise over the
         random tuples of default_rng(0), which go through mul_many and
-        commutator_many.  Returns a report dict per identity: {passed,
-        checked, counterexample}, the counterexample being the first
-        failing tuple in order.
+        commutator_many, each bracket asked once per tuple: [[a,b],c]
+        serves three identities, and [[a,b],a], [[a,b],b] every exponent s.
+        Returns a report dict per identity: {passed, checked,
+        counterexample}, the counterexample being the first failing tuple
+        in order.  Both paths read the powers x^s, s < p, from one table
+        built as x^s = x^(s-1) * x: (p - 2) * n products.
 
         The exhaustive path tabulates M[x, y] = x*y and C[x, y] = [x, y],
         n x n int32, through mul_many and commutator_many, so every product
@@ -698,7 +720,10 @@ class FiniteGroup:
         p = self.prime if n > 1 else 3
         e = self.identity
         zmask = self.center().membership_mask()
-        pow_t = np.stack([self.power_many(np.arange(n, dtype=np.int64), s) for s in range(p)])
+        pow_t = np.empty((p, n), dtype=np.int64)  # pow_t[s, x] = x^s, one row of n products per s
+        pow_t[0], pow_t[1] = e, np.arange(n)
+        for s in range(2, p):
+            pow_t[s] = self.mul_many(pow_t[s - 1], pow_t[1])
         names = (
             "central_pair_triple_vanishes",
             "central_commutator_swap",
@@ -723,7 +748,8 @@ class FiniteGroup:
             # triple commutator vanishes when both inner commutators are central
             cac, cbc, cab = comm(a, c), comm(b, c), comm(a, b)
             cond = zmask[cac] & zmask[cbc]
-            triple = comm(cab[cond], c[cond])
+            cabc = comm(cab, c)
+            triple = cabc[cond]
             record(names[0], len(triple), triple != e, (a[cond], b[cond], c[cond]))
             # central [a,b] makes [[a,t],b] and [[b,t],a] agree
             cond = zmask[cab]
@@ -732,12 +758,12 @@ class FiniteGroup:
             record(names[1], len(ok), ~ok, (aa, bb, tt))
             # [ab,c] = [a,c][b,c][[a,c],b] and [a,bc] = [a,b][a,c][[a,b],c]
             ok = comm(mul(a, b), c) == mul(mul(cac, cbc), comm(cac, b))
-            ok &= comm(a, mul(b, c)) == mul(mul(cab, cac), comm(cab, c))
+            ok &= comm(a, mul(b, c)) == mul(mul(cab, cac), cabc)
             record(names[2], samples, ~ok, (a, b, c))
             # [a^i,b^j,c^k] = [[a,b],c]^(ijk), (i, j, k) cycling through GF(p)^3
             t = np.arange(samples) % p**3
             i, j, k = t // (p * p), t // p % p, t % p
-            ok = comm(comm(pow_t[i, a], pow_t[j, b]), pow_t[k, c]) == pow_t[i * j * k % p, comm(cab, c)]
+            ok = comm(comm(pow_t[i, a], pow_t[j, b]), pow_t[k, c]) == pow_t[i * j * k % p, cabc]
             record(names[4], samples, ~ok, (a, b, c))
             a, b = rng.integers(0, n, samples), rng.integers(0, n, samples)
         else:
@@ -777,10 +803,12 @@ class FiniteGroup:
         # [a^s,b] = [a,b]^s [[a,b],a]^(s(s-1)/2), and dually in the second slot
         ok = np.ones(len(a), dtype=bool)
         cab = comm(a, b)
+        caba, cabb = comm(cab, a), comm(cab, b)
         for s in range(p):
             binom = (s * (s - 1) // 2) % p
-            ok &= comm(pow_t[s, a], b) == mul(pow_t[s, cab], pow_t[binom, comm(cab, a)])
-            ok &= comm(a, pow_t[s, b]) == mul(pow_t[s, cab], pow_t[binom, comm(cab, b)])
+            cs = pow_t[s, cab]
+            ok &= comm(pow_t[s, a], b) == mul(cs, pow_t[binom, caba])
+            ok &= comm(a, pow_t[s, b]) == mul(cs, pow_t[binom, cabb])
         record(names[3], len(a), ~ok, (a, b))
         return report
 

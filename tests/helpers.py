@@ -3,7 +3,9 @@
 from_closure builds a group as the breadth-first closure of generator rows,
 an oracle for the builders that enumerate a full coordinate chart; relabel
 renames the elements of a group by a permutation (through RelabeledBackend,
-on the one FiniteGroup constructor), breadth and breadth_set measure
+on the one FiniteGroup constructor), build_cyclic builds Z/n,
+verify_quintuple_identification proves the corner-dropping map hmod ->
+quint an isomorphism, breadth and breadth_set measure
 centralizer indices, label gives an element's canonical byte encoding,
 cayley_table tabulates every product without mul_many, verify_group_axioms
 checks the group laws through mul_many, class3_identity_oracle
@@ -30,6 +32,7 @@ import math
 
 import numpy as np
 
+import pgf.constructions
 import pgf.engine
 from pgf.constructions import H_SLOTS
 from pgf.engine import (
@@ -39,6 +42,7 @@ from pgf.engine import (
     FiniteGroup,
     GroupError,
     Subgroup,
+    is_homomorphism,
     sorted_unique,
 )
 from pgf.fields import FieldOps
@@ -121,6 +125,48 @@ def relabel(g: FiniteGroup, perm) -> FiniteGroup:
     return FiniteGroup(f"{g.name} (relabeled)", backend, np.arange(g.order)[:, None],
                        generators=backend.inv_perm[g.generators].tolist(),
                        field=g.field, assume_generates=True)
+
+
+def build_cyclic(n: int, name: str | None = None) -> FiniteGroup:
+    """The cyclic group of order n, rows 0..n-1 under addition mod n."""
+
+    class _Cyclic(Backend):
+        def __init__(self, n):
+            self.n = n
+            self.width = 1
+            self.radices = (n,)
+
+        def mul_rows(self, a, b):
+            return (a + b) % self.n
+
+        def inv_rows(self, a):
+            return (-a) % self.n
+
+    if n > np.iinfo(np.int16).max:
+        raise GroupError(f"cyclic order {n} too large for int16 coordinates")
+    rows = np.arange(n, dtype=np.int16)[:, None]
+    return FiniteGroup(name or f"cyclic{n}", _Cyclic(n), rows, generators=[1 % n])
+
+
+def verify_quintuple_identification(hmod: FiniteGroup, quint: FiniteGroup) -> dict:
+    """Check that dropping the corner entry is an isomorphism hmod -> quint.
+
+    identification_map proves the map a bijection, and the homomorphism law
+    is proved on the edges x -> x*s for every x and every s in
+    hmod.generators (engine.is_homomorphism), so the check is exhaustive at
+    every order: it covers every product with order * len(generators) pairs.
+    """
+    phi = pgf.constructions.identification_map(hmod, quint)  # a test may substitute the map
+    n = hmod.order
+    if not is_homomorphism(hmod, quint, np.arange(n), hmod.generators, phi):
+        raise GroupError("identification fails the homomorphism law")
+    return {
+        "order": n,
+        "bijective": True,
+        "exhaustive": True,
+        "pairs_checked": n * len(hmod.generators),
+        "passed": True,
+    }
 
 
 def breadth(g: FiniteGroup, x: int) -> int:
@@ -312,7 +358,9 @@ def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
     unitriangular matrices over a prime field, each row packing the
     below-diagonal entries (1,0), (2,0), (2,1), (3,0), ...: the rows are
     unpacked, multiplied as integer matrices mod p, repacked and looked up
-    in stored_rows (None for a product outside the stored rows)."""
+    in stored_rows (None for a product outside the stored rows).  For
+    hmod, whose rows lead the cosets of hmat's corner axis, each product's
+    corner entry is zeroed before the lookup."""
     if g.field.m != 1:
         raise ValueError("the integer matrix product needs a prime field")
     d = g.backend.d
@@ -324,6 +372,8 @@ def matrix_product_oracle(g: FiniteGroup, i, j) -> list:
         return m
 
     prod = unpack(g.rows[i]) @ unpack(g.rows[j]) % g.field.p
+    if g.kind == "hmod":
+        prod[:, d - 1, 0] = 0  # hmat modulo its corner axis
     index = stored_rows(g)
     return [index.get(tuple(row)) for row in prod[:, r, c].tolist()]
 

@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from pgf.cli import main as cli_main
-from pgf.constructions import (
-    build_cyclic,
-    build_group,
-    verify_quintuple_identification,
-)
+from pgf.constructions import build_group
 from pgf.fields import FieldOps, structure_constants
 from pgf.isoclinism import (
     are_isoclinic,
@@ -27,7 +23,7 @@ from pgf.isoclinism import (
 )
 from pgf import structure as st
 
-from helpers import quintuple_commutator_oracle
+from helpers import build_cyclic, quintuple_commutator_oracle, verify_quintuple_identification
 
 FOUR_PAIRS = ((3, 1), (5, 1), (7, 1), (3, 2))
 ALT_MODULUS = ",modulus=[2,1,1]"

@@ -16,7 +16,6 @@ from pgf.constructions import (
     MatrixBackend,
     PatternedU5Backend,
     _pack_positions,
-    build_cyclic,
     build_direct_product_with_elem_abelian,
     build_group,
     build_h_matrix,
@@ -30,14 +29,20 @@ from pgf.constructions import (
     quintuple_generator_indices,
     quintuple_index,
     u3_named_elements,
-    verify_quintuple_identification,
 )
 import pgf.constructions
 import pgf.engine
 from pgf.engine import TABLE_CAP, CapExceeded, FiniteGroup, GroupError, is_homomorphism
 from pgf.fields import FieldError, FieldOps, FieldSpec, ff_add, ff_mul, ff_sub, find_irreducible
 
-from helpers import feeding_corner, from_closure, matrix_product_oracle, quintuple_commutator_oracle
+from helpers import (
+    build_cyclic,
+    feeding_corner,
+    from_closure,
+    matrix_product_oracle,
+    quintuple_commutator_oracle,
+    verify_quintuple_identification,
+)
 
 F31 = find_irreducible(3, 1)
 F51 = find_irreducible(5, 1)

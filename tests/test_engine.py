@@ -8,6 +8,7 @@ engine is exercised by representations it was not written around.
 import ast
 import functools
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     class3_identity_oracle,
     from_closure,
     label,
+    matrix_product_oracle,
     relabel,
     stored_rows,
     verify_group_axioms,
@@ -778,6 +780,96 @@ def test_mul_many_broadcasting():
             assert out[i, j] == g.mul(i, j)
 
 
+# -- product memo ------------------------------------------------------------
+
+
+def _built(spec):
+    from pgf.constructions import build_group
+    return build_group(spec)
+
+
+def _cayley_oracle(g, i, j):
+    return cayley_table(g)[i, j].tolist()
+
+
+MEMO_CASES = {
+    "hmod:p=3,m=1": (lambda: _built("hmod:p=3,m=1"), _cayley_oracle),
+    "hmod:p=5,m=1": (lambda: _built("hmod:p=5,m=1"), matrix_product_oracle),
+    "central quotient of hmod:p=7,m=1": (lambda: _built("hmod:p=7,m=1").central_quotient(),
+                                         _cayley_oracle),
+}
+
+
+def raw_product_calls(monkeypatch, g) -> list:
+    """(calling function, index pairs) of each _mul_index_raw call of g
+    from now on (a quotient's products also call its parent's)."""
+    calls = []
+    raw = FiniteGroup._mul_index_raw
+
+    def spy(self, i, j):
+        if self is g:
+            calls.append((sys._getframe(1).f_code.co_name, len(i)))
+        return raw(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "_mul_index_raw", spy)
+    return calls
+
+
+def test_memo_entries_fit_int16():
+    # an entry holds a product index plus one, at most TABLE_CAP
+    assert pgf.engine.TABLE_CAP < 2 ** 15
+
+
+@pytest.mark.parametrize("label", list(MEMO_CASES))
+def test_memo_products_match_an_oracle_on_the_miss_and_the_hit_call(label, monkeypatch):
+    build, oracle = MEMO_CASES[label]
+    g = build()
+    n = g.order
+    assert n <= pgf.engine.TABLE_CAP and g._table is None
+    rng = np.random.default_rng(21)
+    i, j = rng.integers(0, n, (2, 3000))
+    # the last index, as a product (n-1 * e) and as a factor on both sides
+    i = np.concatenate([i, [n - 1, n - 1, g.identity, 0]])
+    j = np.concatenate([j, [g.identity, n - 1, n - 1, n - 1]])
+    want = oracle(g, i, j)
+    calls = raw_product_calls(monkeypatch, g)
+
+    def sent():
+        return sum(rows for _, rows in calls)
+
+    assert g.mul_many(i, j).tolist() == want
+    assert sent() == len(i)  # a fresh table: every pair misses, repeats included
+    assert g.mul_many(i, j).tolist() == want
+    assert g.mul_many(i.reshape(2, -1), j.reshape(2, -1)).ravel().tolist() == want
+    assert sent() == len(i)  # the repeated calls are all hits
+    # a call mixing hits and misses sends exactly its misses
+    k, m = rng.integers(0, n, (2, 500))
+    known = np.isin(k * n + m, i * n + j)
+    assert g.mul_many(k, m).tolist() == oracle(g, k, m)
+    assert sent() == len(i) + np.count_nonzero(~known)
+
+
+def test_memo_stores_no_product_under_an_index_out_of_range():
+    g = heis(3)
+    n = g.order
+    for i, j in [(0, n), (1, -1), (-1, 0), (n, 0)]:
+        with pytest.raises(IndexError):
+            g.mul_many(i, j)
+    assert not np.any(g._table)
+
+
+def test_memo_keeps_the_hooks_the_bench_tracer_reads(monkeypatch):
+    # perfbench's tracer reads _table_cap to tell memoized groups apart, and
+    # counts the memo misses at _mul_index_raw called straight from mul_many
+    g = heis(3)
+    assert g._table_cap == pgf.engine.TABLE_CAP >= g.order
+    calls = raw_product_calls(monkeypatch, g)
+    a = np.arange(g.order)
+    g.mul_many(a, a[::-1])
+    g.mul_many(a, a[::-1])
+    assert calls == [("mul_many", g.order)]
+
+
 def test_labels_and_describe():
     g = heis(3)
     seen = {label(g, i) for i in range(g.order)}
@@ -1073,9 +1165,30 @@ def test_class3_identities_tabulate_each_product_once():
     n, p = g.order, g.prime
     assert rep["product_expansion"]["checked"] == n ** 3
     # the two n x n tables, plus the center (two products per element and
-    # generator) and the power table (at most 2 * bit_length(s) passes of n)
+    # generator) and the power table (p - 2 rows of n)
     assert g.pairs == n * n
-    assert n * n <= g.products <= n * n + 2 * n * len(g.generators) + 2 * p.bit_length() * p * n
+    assert n * n <= g.products <= n * n + 2 * n * len(g.generators) + (p - 2) * n
+
+
+def test_class3_identities_sampled_path_asks_each_bracket_once(monkeypatch):
+    # heis(5) has order 125, so the limit is lowered to take the sampled path
+    monkeypatch.setattr(pgf.engine, "IDENTITY_EXHAUSTIVE_LIMIT", 100)
+    h = heis(5)
+    g = CountingGroup("H5", Heis3Backend(5), h.rows, generators=h.generators)
+    assert g.nilpotency_class() == 2  # so every [a, b] is central
+    g.center()
+    g.products = g.pairs = 0
+    s, p = 500, g.prime
+    rep = g.check_class3_identities(samples=s)
+    assert rep == class3_identity_oracle(heis(5), samples=s)
+    # the triples ask [a,c], [b,c], [a,b], [[a,b],c] once each; the swap
+    # four brackets per triple ([a,b] is always central here); the product
+    # expansion three brackets and six products; the collapse two brackets.
+    # The pairs ask [a,b], [[a,b],a], [[a,b],b] once each and, for each s,
+    # [a^s,b] and [a,b^s] with one product each.  The power table takes
+    # p - 2 rows of n products.
+    assert g.pairs == (4 + 4 + 3 + 2 + 3 + 2 * p) * s
+    assert g.products == 6 * s + 2 * p * s + (p - 2) * g.order
 
 
 def test_class3_identities_sampled_path(monkeypatch):

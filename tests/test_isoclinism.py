@@ -10,13 +10,11 @@ import pgf.constructions
 from pgf import isoclinism
 from pgf.cli import main as cli_main
 from pgf.constructions import (
-    build_cyclic,
     build_direct_product_with_elem_abelian,
     build_group,
     identification_map,
     parse_group_spec,
     u3_named_elements,
-    verify_quintuple_identification,
 )
 from pgf.engine import CapExceeded, FiniteGroup, GroupError, is_homomorphism
 from pgf.isoclinism import (
@@ -37,11 +35,13 @@ from pgf.structure import recognize_u3
 
 from helpers import (
     bracket_table,
+    build_cyclic,
     cayley_table,
     image_members,
     inverted,
     square_on_all_pairs,
     theta_from_all_brackets,
+    verify_quintuple_identification,
 )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgf.structure
-from pgf.constructions import build_cyclic, build_group, parse_group_spec, quintuple_coords
+from pgf.constructions import build_group, parse_group_spec, quintuple_coords
 from pgf.engine import Backend, FiniteGroup, GroupError
 from pgf.fields import structure_constants
 from pgf.structure import (
@@ -27,6 +27,7 @@ from pgf.structure import (
 
 from helpers import (
     breadth_mask_oracle,
+    build_cyclic,
     breadth_set,
     distinct_centralizers_oracle,
     presentation_params_oracle,
