@@ -45,7 +45,13 @@ classes, lower central series, element orders, inverses (row by row, as
 they are asked for) and central quotient G/Z.  remember(key, build) stores
 what other modules derive from the group the same way: the commutation
 map of isoclinism and the maximal-breadth mask of structure, each stored
-once per group and read-only.
+once per group and read-only.  Past the memo table a group also stores
+itself as the cosets of its center (_CenterCosets): for central z,
+(xz)^g = x^g z and C(xz) = C(x), so conjugation and centralizers are read
+off one transversal of G/Z, |G/Z| products per side instead of n.  The
+loops over the generators (center, series, classes, normal closures,
+normality checks) read nontrivial_generators, the declared generators
+without repeats and the identity, which moves nothing.
 
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
@@ -274,6 +280,7 @@ class FiniteGroup:
         for g in self.generators:
             if not 0 <= g < n:
                 raise GroupError("generator index out of range")
+        self.nontrivial_generators = [g for g in dict.fromkeys(self.generators) if g != self.identity]
         # center/series/conjugacy shortcuts all lean on the generators
         # actually generating, so an unverified explicit list is checked
         # here; Dimino reads no product twice, so the proof skips the memo
@@ -504,7 +511,8 @@ class FiniteGroup:
         span = _Span(self, members)
         while True:
             used = np.asarray(span.used, dtype=np.int64)
-            conj = np.concatenate([self.conjugate_many(used, g) for g in self.generators])
+            # used itself heads the list, so it is never empty; its members are known
+            conj = np.concatenate([used] + [self.conjugate_many(used, g) for g in self.nontrivial_generators])
             fresh = sorted_unique(conj[~span.known[conj]])
             if not len(fresh):
                 return np.flatnonzero(span.known)
@@ -514,14 +522,20 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         if self._center is None:
             mask = np.ones(self.order, dtype=bool)
-            for g in self.generators:
+            for g in self.nontrivial_generators:
                 cand = np.flatnonzero(mask)
                 mask[cand[self.mul_many(cand, g) != self.mul_many(g, cand)]] = False
             self._center = Subgroup(self, np.flatnonzero(mask), check=False)
         return self._center
 
     def centralizer(self, x: int) -> Subgroup:
-        return self.centralizer_in(self.full_subgroup(), x)
+        """C(x).  C(xz) = C(x) for central z, so past the memo table C(x)
+        is the union of the cosets of Z whose leaders commute with x:
+        2 |G/Z| products (_CenterCosets)."""
+        chart = self._center_cosets()
+        if chart is None:
+            return self.centralizer_in(self.full_subgroup(), x)
+        return Subgroup(self, chart.centralizer(x), check=False)
 
     def centralizer_in(self, a: Subgroup, x: int) -> Subgroup:
         if a.parent is not self:
@@ -538,15 +552,19 @@ class FiniteGroup:
         Conjugation by each generator is a permutation of the index set;
         min-label flooding along those permutations (both directions) makes
         every element carry the least index of its class, so class ids come
-        out ordered by their minimal representatives.
+        out ordered by their minimal representatives.  Inside the memo table
+        the permutation conjugates every element (2n products, mostly table
+        reads).  Past it, (xz)^g = x^g z for central z fixes the permutation
+        by its values on the leaders of G/Z: 2 |G/Z| products per generator
+        (_CenterCosets).
         """
         if self._classes is None:
             n = self.order
-            gens = [g for g in dict.fromkeys(self.generators) if g != self.identity]
+            chart = self._center_cosets()
             idx = np.arange(n, dtype=np.int64)
             moves = []
-            for g in gens:
-                img = self.conjugate_many(idx, g)
+            for g in self.nontrivial_generators:
+                img = self.conjugate_many(idx, g) if chart is None else chart.conjugation(g)
                 back = np.empty(n, dtype=np.int64)
                 back[img] = idx
                 moves.append(img)
@@ -583,14 +601,13 @@ class FiniteGroup:
         """
         if self._lcs is None:
             series = [self.full_subgroup()]
-            gens = [g for g in dict.fromkeys(self.generators) if g != self.identity]
-            gen_arr = np.asarray(gens, dtype=np.int64)
+            gen_arr = np.asarray(self.nontrivial_generators, dtype=np.int64)
             while True:
                 prev = series[-1]
                 prev_gens = gen_arr if len(series) == 1 else prev.members
-                if len(gens) and len(prev_gens):
+                if len(gen_arr) and len(prev_gens):
                     comms = self.commutator_many(
-                        np.repeat(prev_gens, len(gens)), np.tile(gen_arr, len(prev_gens))
+                        np.repeat(prev_gens, len(gen_arr)), np.tile(gen_arr, len(prev_gens))
                     )
                     seed = sorted_unique(comms)
                 else:
@@ -616,6 +633,16 @@ class FiniteGroup:
         if k < 1:
             raise GroupError("lower central index must be >= 1")
         return series[min(k, len(series)) - 1]
+
+    def _center_cosets(self) -> "_CenterCosets | None":
+        """The chart of G on the cosets of its center, built once; None
+        inside the memo table, whose reads keep the per-element paths cheap,
+        and when |Z| > |G/Z|, where the |Z|^2 products of zmul would
+        outnumber the n of the whole group."""
+        if self.order <= self._table_cap:
+            return None
+        return self.remember("center_cosets",
+                             lambda: _CenterCosets(self) if self.center().order ** 2 <= self.order else None)
 
     def remember(self, key, build):
         """build(), run on the first call with this key; later calls read
@@ -647,7 +674,7 @@ class FiniteGroup:
         if n_sub.parent is not self:
             raise GroupError("subgroup belongs to a different group")
         mem = n_sub.members
-        for g in self.generators:
+        for g in self.nontrivial_generators:
             if not bool(np.all(n_sub.contains_many(self.conjugate_many(mem, g)))):
                 raise GroupError("quotient by a non-normal subgroup")
         idx = np.arange(self.order, dtype=np.int64)
@@ -829,6 +856,44 @@ def _flood_min(moves, n: int) -> np.ndarray:
         labels = labels.take(labels)  # path compression
         if np.array_equal(labels, before):
             return labels
+
+
+class _CenterCosets:
+    """G as the cosets of its center Z, for central z: (xz)^g = x^g z and
+    C(xz) = C(x), so conjugation and centralizers are fixed by their values
+    on the leaders of G/Z (the lifting step of class computation through a
+    central series: Mecky & Neubueser, Bull. Austral. Math. Soc. 40, 1989).
+
+    pos[c, k] = leaders[c] * z[k] for the leaders of central_quotient() and
+    the sorted members z of Z (n products), slot[pos[c, k]] = k, and
+    zmul[k', k] is the position in z of z[k'] * z[k] (|Z|^2 products).
+    zmul is read by positions in z, never through slot: slot counts from
+    the leader of Z's own coset, its least member, which need not be the
+    identity.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        qb = group.central_quotient().backend
+        z = group.center().members
+        self.group = group
+        self.leaders, self.coset_of = qb.leaders, qb.coset_of
+        self.pos = group.mul_many(self.leaders[:, None], z[None, :])
+        self.slot = np.empty(group.order, dtype=np.int64)
+        self.slot[self.pos] = np.arange(len(z))
+        self.zmul = np.searchsorted(z, group.mul_many(z[:, None], z[None, :]))
+
+    def conjugation(self, g: int) -> np.ndarray:
+        """x -> g^-1 x g on 0..n-1: with l^g = l' z[slot[l^g]] for the
+        leader l' of its coset, (l z[k])^g = l' z[zmul[slot[l^g], k]]."""
+        cl = self.group.conjugate_many(self.leaders, g)
+        img = np.empty(self.group.order, dtype=np.int64)
+        img[self.pos] = self.pos[self.coset_of[cl][:, None], self.zmul[self.slot[cl]]]
+        return img
+
+    def centralizer(self, x: int) -> np.ndarray:
+        """Sorted members of C(x): the cosets whose leaders commute with x."""
+        g = self.group
+        return sorted_unique(self.pos[g.mul_many(self.leaders, x) == g.mul_many(x, self.leaders)])
 
 
 class _Span:

@@ -86,7 +86,7 @@ def _build_commutation_map(g: FiniteGroup) -> CommutationMap:
     # gives [z, x] != [e, x]; so the bracket is well defined on the cosets
     # of Z exactly when a basis of Z commutes with every generator of g
     zb = np.asarray(g.basis(g.center().members), dtype=np.int64)
-    gens = np.asarray(g.generators, dtype=np.int64)
+    gens = np.asarray(g.nontrivial_generators, dtype=np.int64)
     bad = np.argwhere(g.mul_many(zb[:, None], gens[None, :]) != g.mul_many(gens[None, :], zb[:, None]))
     if len(bad):
         k, s = bad[0]

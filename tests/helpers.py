@@ -24,7 +24,9 @@ turns a witness G -> H into one H -> G.  The structure oracles redo, one
 element, pair or entry at a time, what structure.py derives from a group
 identity or in one batched call: breadth_mask_oracle,
 distinct_centralizers_oracle, product_set_sizes and
-presentation_params_oracle.
+presentation_params_oracle.  conjugacy_flood_oracle finds the
+classes by conjugating every element by each generator; the engine does so
+only inside the memo table, and past it reads the cosets of the center.
 """
 
 import itertools
@@ -210,6 +212,30 @@ def cayley_table(g: FiniteGroup) -> np.ndarray:
     rows = np.ascontiguousarray(g.rows)
     prods = g.backend.mul_rows(np.repeat(rows, n, axis=0), np.tile(rows, (n, 1)))
     return np.searchsorted(g.codes, g.backend.encode(prods)).reshape(n, n)
+
+
+def conjugacy_flood_oracle(g: FiniteGroup):
+    """(class_of, class_reps, class_sizes): each element conjugated by each
+    generator (2n products per generator), and every label flooded to the
+    least index of its orbit, one step along each conjugation at a time."""
+    n = g.order
+    idx = np.arange(n, dtype=np.int64)
+    moves = []
+    for s in g.generators:
+        img = g.conjugate_many(idx, s)
+        back = np.empty(n, dtype=np.int64)
+        back[img] = idx
+        moves += [img, back]
+    labels = idx
+    while True:
+        new = labels.copy()
+        for img in moves:
+            new = np.minimum(new, new[img])
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    reps, class_of = np.unique(labels, return_inverse=True)
+    return class_of, reps.tolist(), np.bincount(class_of).tolist()
 
 
 ASSOC_EXHAUSTIVE_LIMIT = 1000

@@ -1,6 +1,7 @@
 """Exit codes, JSON shape, caching, and determinism of the command line."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -329,6 +330,28 @@ def test_reports_byte_identical_without_timings(capsys):
     d1.pop("timings")
     d2.pop("timings")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["invariants", "hmod:p=7,m=1"], "invariants-hmod-p-7-m-1.json"),
+    (["verify", "hmod:p=7,m=1", "all"], "verify-hmod-p-7-m-1-all.json"),
+])
+def test_reports_match_the_golden_bytes(capsys, tmp_path, monkeypatch, argv, name):
+    # the files hold the stdout of an earlier release, timings and toolchain
+    # removed, and the parameter file its verify wrote
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    report = json.loads(out)
+    del report["timings"], report["toolchain"]
+    assert rp.to_json(report) == (GOLDEN / name).read_text()
+    params = sorted(p.name for p in tmp_path.iterdir())
+    assert params == (["params-hmod-p-7-m-1.json"] if argv[0] == "verify" else [])
+    for p in params:
+        assert (tmp_path / p).read_bytes() == (GOLDEN / p).read_bytes()
 
 
 def test_pretty_renders_from_the_same_payload(capsys):

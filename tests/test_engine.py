@@ -29,8 +29,10 @@ from pgf.engine import (
 from helpers import (
     breadth,
     breadth_set,
+    build_cyclic,
     cayley_table,
     class3_identity_oracle,
+    conjugacy_flood_oracle,
     from_closure,
     label,
     matrix_product_oracle,
@@ -1011,6 +1013,82 @@ def test_invariants_match_the_cayley_table(label, data):
     members = np.flatnonzero(oracle_span(table, e, gens))
     want = (table[:, members] == table[members, :].T).sum(axis=1)
     assert np.array_equal(g.centralizer_orders_in(g.subgroup(members)), want)
+
+
+# -- the cosets of the center ------------------------------------------------
+
+
+def center_moved_off_the_identity(g):
+    """g relabeled so that a central element other than the identity is
+    index 0, the least member of Z and so the leader of Z's own coset."""
+    z = g.center().members
+    perm = np.random.default_rng(22).permutation(g.order)
+    at = int(np.flatnonzero(perm == z[z != g.identity][0])[0])
+    perm[[0, at]] = perm[[at, 0]]
+    h = relabel(g, perm)
+    assert h.center().members[0] == 0 != h.identity
+    return h
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["as built", "center moved off the identity"])
+@pytest.mark.parametrize("label", INVARIANT_CASES)
+def test_center_cosets_match_the_cayley_table(label, moved):
+    g, table = invariant_groups()[label]
+    if moved:
+        g = center_moved_off_the_identity(g)
+        table = cayley_table(g)
+    chart = pgf.engine._CenterCosets(g)
+    idx = np.arange(g.order)
+    inv = np.argmax(table == g.identity, axis=1)
+    for s in range(g.order):  # s^-1 x s, read off the table
+        assert np.array_equal(chart.conjugation(s), table[table[inv[s], idx], s])
+    commute = table == table.T
+    for x in range(g.order):
+        assert np.array_equal(chart.centralizer(x), np.flatnonzero(commute[x]))
+
+
+def test_center_cosets_agree_with_the_per_element_flood_on_hmod_7():
+    g = _built("hmod:p=7,m=1")
+    assert g.order > pgf.engine.TABLE_CAP and g._center_cosets() is not None
+    class_of, reps, sizes = conjugacy_flood_oracle(g)
+    rep = g.conjugacy_classes()
+    assert np.array_equal(rep.class_of, class_of)
+    assert (rep.class_reps, rep.class_sizes) == (reps, sizes)
+    everything = g.full_subgroup()
+    for x in [g.identity, 1, *reps[1:4], *reps[-3:], g.order - 1]:
+        assert np.array_equal(g.centralizer(x).members, g.centralizer_in(everything, x).members)
+
+
+def test_center_cosets_count_their_products_on_hmod_7(monkeypatch):
+    g = _built("hmod:p=7,m=1")
+    calls = raw_product_calls(monkeypatch, g)
+
+    def sent():
+        total = sum(rows for _, rows in calls)
+        calls.clear()
+        return total
+
+    z = g.center()
+    # 2 * |candidates| products per generator; the corner generator, the
+    # identity, is skipped
+    assert g.nontrivial_generators == g.generators[1:] and g.generators[0] == g.identity
+    assert sent() == 34_398
+    q = g.central_quotient()
+    sent()
+    n, d = g.order, len(g.nontrivial_generators)
+    g.conjugacy_classes()
+    # the chart (n + |Z|^2), then 2 |G/Z| per generator; 100,842 by element
+    assert sent() == n + z.order ** 2 + 2 * q.order * d == 21_266
+    g.centralizer(5)
+    assert sent() == 2 * q.order == 686  # 33,614 by element
+
+
+def test_a_center_larger_than_its_quotient_takes_no_chart():
+    # zmul would hold |Z|^2 = n^2 entries for an abelian group
+    g = build_cyclic(pgf.engine.TABLE_CAP + 1)
+    assert g._center_cosets() is None
+    assert g.conjugate_type() == [1]
+    assert g.centralizer(1).order == g.order
 
 
 # -- identity suite --------------------------------------------------------
