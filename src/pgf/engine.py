@@ -22,10 +22,14 @@ quotients, whose rows are their coset ids.  Only a universe a caller
 builds from a sparse set of rows looks codes up with a binary search.
 
 A quotient G/N takes the least member of each coset as its leader, and
-numbers the cosets by their leaders.  The leaders come from flooding
-labels to their minimum along right multiplication by a generating set of
-N, so building G/N costs n * rank(N) products (plus the normality check),
-not the n * |N| of multiplying the group by every member of N.
+numbers the cosets by their leaders.  The cosets come from one Dimino
+span grown from N through the generators of G, which lists G as whole
+cosets Ny, each in one fixed order of N starting at the identity (the
+coset table of G/N: Holt, Eick & O'Brien, Handbook of Computational Group
+Theory, 2005, ch. 5).  So building G/N costs about n products (plus the
+normality check), not the n * |N| of multiplying the group by every
+member of N, and the quotient keeps that layout for the cosets of the
+center.
 
 Products are memoized when the order is at most TABLE_CAP, in a flat
 np.zeros(n * n) int16 table whose entry i*n + j holds the index of i * j
@@ -48,10 +52,11 @@ map of isoclinism and the maximal-breadth mask of structure, each stored
 once per group and read-only.  Past the memo table a group also stores
 itself as the cosets of its center (_CenterCosets): for central z,
 (xz)^g = x^g z and C(xz) = C(x), so conjugation and centralizers are read
-off one transversal of G/Z, |G/Z| products per side instead of n.  The
-loops over the generators (center, series, classes, normal closures,
-normality checks) read nontrivial_generators, the declared generators
-without repeats and the identity, which moves nothing.
+off the transversal of G/Z that the quotient's coset layout holds, |G/Z|
+products per side instead of n.  The loops over the generators (center,
+series, classes, normal closures, normality checks) read
+nontrivial_generators, the declared generators without repeats and the
+identity, which moves nothing.
 
 There is one constructor, __init__, for every universe.  It takes the row
 dtype from backend.identity_row(): int16 for coordinate rows, int64 for
@@ -67,8 +72,8 @@ products plus one per coset representative and generator, not the n * k
 of a breadth-first closure.  There is one loop that picks elements by
 span, _Span.extend, which skips the members a span already holds: every
 closure grows through it, and so does FiniteGroup.basis, whose picks give
-the default generators, the generators of N in a quotient, the bases of
-the structure checks and the search generators of the isoclinism search.
+the default generators, the bases of the structure checks and the search
+generators of the isoclinism search.
 There is one homomorphism check, is_homomorphism, on the edges x -> x*s
 for s in a generating set: n * d products, exact at every order.
 
@@ -530,7 +535,7 @@ class FiniteGroup:
 
     def centralizer(self, x: int) -> Subgroup:
         """C(x).  C(xz) = C(x) for central z, so past the memo table C(x)
-        is the union of the cosets of Z whose leaders commute with x:
+        is the union of the cosets of Z whose representatives commute with x:
         2 |G/Z| products (_CenterCosets)."""
         chart = self._center_cosets()
         if chart is None:
@@ -555,8 +560,10 @@ class FiniteGroup:
         out ordered by their minimal representatives.  Inside the memo table
         the permutation conjugates every element (2n products, mostly table
         reads).  Past it, (xz)^g = x^g z for central z fixes the permutation
-        by its values on the leaders of G/Z: 2 |G/Z| products per generator
-        (_CenterCosets).
+        by its values on one representative of each coset of Z: 2 |G/Z|
+        products per generator (_CenterCosets).  The flood leaves each
+        class's least index on itself, so those fixed points are the class
+        representatives, and their running count numbers the classes.
         """
         if self._classes is None:
             n = self.order
@@ -569,11 +576,13 @@ class FiniteGroup:
                 back[img] = idx
                 moves.append(img)
                 moves.append(back)
-            reps, class_of = np.unique(_flood_min(moves, n), return_inverse=True)
+            labels = _flood_min(moves, n)
+            is_rep = labels == idx
+            class_of = (np.cumsum(is_rep) - 1)[labels]
             sizes = np.bincount(class_of)
             self._classes = ConjugacyReport(
-                class_of=class_of.astype(np.int64),
-                class_reps=reps.tolist(),
+                class_of=class_of,
+                class_reps=np.flatnonzero(is_rep).tolist(),
                 class_sizes=sizes.tolist(),
                 conjugate_type=sorted(set(sizes.tolist())),
             )
@@ -661,15 +670,14 @@ class FiniteGroup:
         """G/N for a normal subgroup N, its elements the cosets xN.
 
         Each coset is represented by its least member, min(xN), and coset
-        ids are ordered by those leaders.  The leaders come from min-label
-        flooding: right multiplication by each member k of a generating
-        set of N is a permutation of the index set (x -> x*k), the orbits
-        of the group those permutations generate are exactly the cosets
-        xN, and flooding every label to its minimum along them (_flood_min,
-        as in conjugacy_classes) leaves min(xN) on every x.  That costs
-        n * rank(N) products, rank(N) being the size of N's basis, instead
-        of the n * |N| of multiplying the group by every member of N; the
-        normality check adds 2 * |N| products per generator of G.
+        ids are ordered by those leaders.  The cosets come from one Dimino
+        span (_Span) grown from N and then through the generators of G:
+        it lists G coset by coset, each coset Ny as n_k * y in the span's
+        one order of N, which starts at the identity.  That costs about n
+        products (plus one per coset representative and generator) for
+        every N, instead of the n * |N| of multiplying the group by every
+        member of N; the normality check adds 2 * |N| products per
+        generator of G.
         """
         if n_sub.parent is not self:
             raise GroupError("subgroup belongs to a different group")
@@ -677,13 +685,12 @@ class FiniteGroup:
         for g in self.nontrivial_generators:
             if not bool(np.all(n_sub.contains_many(self.conjugate_many(mem, g)))):
                 raise GroupError("quotient by a non-normal subgroup")
-        idx = np.arange(self.order, dtype=np.int64)
-        rep = _flood_min([self.mul_many(idx, k) for k in self.basis(mem)], self.order)
-        leaders = sorted_unique(rep)
-        coset_of = np.searchsorted(leaders, rep)
-        return FiniteGroup(name or f"{self.name} / {n_sub.order}",
-                           QuotientBackend(self, leaders, coset_of), np.arange(len(leaders))[:, None],
-                           generators=sorted_unique(coset_of[self.generators]).tolist(),
+        span = _Span(self, [])
+        span.extend(mem)
+        span.extend(self.nontrivial_generators)
+        qb = QuotientBackend(self, span.members.reshape(-1, len(mem)))
+        return FiniteGroup(name or f"{self.name} / {n_sub.order}", qb, np.arange(len(qb.leaders))[:, None],
+                           generators=sorted_unique(qb.coset_of[self.generators]).tolist(),
                            field=self.field, assume_generates=True)
 
     # -- structural predicates --------------------------------------------
@@ -859,41 +866,41 @@ def _flood_min(moves, n: int) -> np.ndarray:
 
 
 class _CenterCosets:
-    """G as the cosets of its center Z, for central z: (xz)^g = x^g z and
-    C(xz) = C(x), so conjugation and centralizers are fixed by their values
-    on the leaders of G/Z (the lifting step of class computation through a
-    central series: Mecky & Neubueser, Bull. Austral. Math. Soc. 40, 1989).
+    """G as the cosets of its center Z, for central z: (yz)^g = y^g z and
+    C(yz) = C(y), so conjugation and centralizers are fixed by their values
+    on one representative y of each coset of G/Z (the lifting step of class
+    computation through a central series: Mecky & Neubueser, Bull. Austral.
+    Math. Soc. 40, 1989).
 
-    pos[c, k] = leaders[c] * z[k] for the leaders of central_quotient() and
-    the sorted members z of Z (n products), slot[pos[c, k]] = k, and
-    zmul[k', k] is the position in z of z[k'] * z[k] (|Z|^2 products).
-    zmul is read by positions in z, never through slot: slot counts from
-    the leader of Z's own coset, its least member, which need not be the
-    identity.
+    pos is the cosets array of central_quotient(), pos[c, k] = z[k] * y_c
+    with z = pos[coset_of[e]] Z's own listing, which starts at the
+    identity, and reps[c] = y_c = pos[c, 0]; so the chart costs no product
+    beyond the quotient.  slot[pos[c, k]] = k, and zmul[k', k] = slot of
+    z[k'] * z[k] (|Z|^2 products).
     """
 
     def __init__(self, group: FiniteGroup):
         qb = group.central_quotient().backend
-        z = group.center().members
         self.group = group
-        self.leaders, self.coset_of = qb.leaders, qb.coset_of
-        self.pos = group.mul_many(self.leaders[:, None], z[None, :])
+        self.pos, self.coset_of = qb.cosets, qb.coset_of
+        self.reps = self.pos[:, 0]
+        z = self.pos[self.coset_of[group.identity]]
         self.slot = np.empty(group.order, dtype=np.int64)
         self.slot[self.pos] = np.arange(len(z))
-        self.zmul = np.searchsorted(z, group.mul_many(z[:, None], z[None, :]))
+        self.zmul = self.slot[group.mul_many(z[:, None], z[None, :])]
 
     def conjugation(self, g: int) -> np.ndarray:
-        """x -> g^-1 x g on 0..n-1: with l^g = l' z[slot[l^g]] for the
-        leader l' of its coset, (l z[k])^g = l' z[zmul[slot[l^g], k]]."""
-        cl = self.group.conjugate_many(self.leaders, g)
+        """x -> g^-1 x g on 0..n-1: with y^g = y' z[slot[y^g]] for the
+        representative y' of its coset, (y z[k])^g = y' z[zmul[slot[y^g], k]]."""
+        cl = self.group.conjugate_many(self.reps, g)
         img = np.empty(self.group.order, dtype=np.int64)
         img[self.pos] = self.pos[self.coset_of[cl][:, None], self.zmul[self.slot[cl]]]
         return img
 
     def centralizer(self, x: int) -> np.ndarray:
-        """Sorted members of C(x): the cosets whose leaders commute with x."""
+        """Sorted members of C(x): the cosets whose representatives commute with x."""
         g = self.group
-        return sorted_unique(self.pos[g.mul_many(self.leaders, x) == g.mul_many(x, self.leaders)])
+        return sorted_unique(self.pos[g.mul_many(self.reps, x) == g.mul_many(x, self.reps)])
 
 
 class _Span:
@@ -976,19 +983,25 @@ def is_homomorphism(a: FiniteGroup, b: FiniteGroup, domain, gens, image) -> bool
 
 
 class QuotientBackend(Backend):
-    """Cosets of a normal subgroup of parent.  A row holds a coset id, the
-    position of the coset's least member in the ascending leaders, and
-    coset_of maps each parent index to its coset id.  Products and inverses
-    are taken on the leaders in parent and read back through coset_of.
-    FiniteGroup.quotient stores the ids 0..n-1, so G/N is a dense chart.
+    """Cosets of a normal subgroup of parent, given as cosets, one coset
+    per row.  The rows are sorted by their least members, the leaders; a
+    row of G/N holds a coset id, the position of its coset in that order,
+    and coset_of maps each parent index to its coset id.  Products and
+    inverses are taken on the leaders in parent and read back through
+    coset_of.  FiniteGroup.quotient stores the ids 0..n-1, so G/N is a
+    dense chart.
     """
 
-    def __init__(self, parent: FiniteGroup, leaders: np.ndarray, coset_of: np.ndarray):
+    def __init__(self, parent: FiniteGroup, cosets: np.ndarray):
+        leaders = cosets.min(axis=1)
+        order = np.argsort(leaders)
         self.parent = parent
-        self.leaders = leaders
-        self.coset_of = coset_of
+        self.cosets = cosets[order]
+        self.leaders = leaders[order]
+        self.coset_of = np.empty(parent.order, dtype=np.int64)
+        self.coset_of[self.cosets] = np.arange(len(order))[:, None]
         self.width = 1
-        self.radices = (len(leaders),)
+        self.radices = (len(order),)
 
     def identity_row(self) -> np.ndarray:
         return np.array([self.coset_of[self.parent.identity]], dtype=np.int64)

@@ -27,6 +27,9 @@ distinct_centralizers_oracle, product_set_sizes and
 presentation_params_oracle.  conjugacy_flood_oracle finds the
 classes by conjugating every element by each generator; the engine does so
 only inside the memo table, and past it reads the cosets of the center.
+quotient_flood_oracle finds the cosets of a quotient by flooding labels
+along right multiplication by a basis of N, n * rank(N) products; the
+engine reads them off one Dimino span instead.
 """
 
 import itertools
@@ -236,6 +239,25 @@ def conjugacy_flood_oracle(g: FiniteGroup):
         labels = new
     reps, class_of = np.unique(labels, return_inverse=True)
     return class_of, reps.tolist(), np.bincount(class_of).tolist()
+
+
+def quotient_flood_oracle(g: FiniteGroup, members):
+    """(leaders, coset_of) of G/N for N the subgroup with these members:
+    right multiplication by each pick of N's basis (n products each), and
+    every label flooded to the least index of its orbit, the coset xN."""
+    n = g.order
+    idx = np.arange(n, dtype=np.int64)
+    moves = [g.mul_many(idx, k) for k in g.basis(members)]
+    labels = idx
+    while True:
+        new = labels.copy()
+        for img in moves:
+            new = np.minimum(new, new[img])
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    leaders, coset_of = np.unique(labels, return_inverse=True)
+    return leaders, coset_of
 
 
 ASSOC_EXHAUSTIVE_LIMIT = 1000

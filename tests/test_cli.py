@@ -338,6 +338,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, name", [
     (["invariants", "hmod:p=7,m=1"], "invariants-hmod-p-7-m-1.json"),
     (["verify", "hmod:p=7,m=1", "all"], "verify-hmod-p-7-m-1-all.json"),
+    # the search witness, its nodes and the breadth mask read the leaders of G/Z
+    (["isoclinic", "hmod:p=7,m=1", "quint:p=7,m=1"], "isoclinic-hmod-p-7-m-1-quint-p-7-m-1.json"),
+    (["verify", "hmod:p=3,m=2", "all"], "verify-hmod-p-3-m-2-all.json"),
 ])
 def test_reports_match_the_golden_bytes(capsys, tmp_path, monkeypatch, argv, name):
     # the files hold the stdout of an earlier release, timings and toolchain
@@ -349,7 +352,7 @@ def test_reports_match_the_golden_bytes(capsys, tmp_path, monkeypatch, argv, nam
     del report["timings"], report["toolchain"]
     assert rp.to_json(report) == (GOLDEN / name).read_text()
     params = sorted(p.name for p in tmp_path.iterdir())
-    assert params == (["params-hmod-p-7-m-1.json"] if argv[0] == "verify" else [])
+    assert params == ([name.replace("verify-", "params-").replace("-all", "")] if argv[0] == "verify" else [])
     for p in params:
         assert (tmp_path / p).read_bytes() == (GOLDEN / p).read_bytes()
 

@@ -36,6 +36,7 @@ from helpers import (
     from_closure,
     label,
     matrix_product_oracle,
+    quotient_flood_oracle,
     relabel,
     stored_rows,
     verify_group_axioms,
@@ -321,15 +322,21 @@ def brute_force_cosets(g, members):
 
 
 QUOTIENT_CASES = ("u3:p=3,m=1/Z", "hmat:p=3,m=1/Z", "hmod:p=3,m=1/Z", "quint:p=3,m=1/G'",
-                  "(hmat:p=3,m=1/Z)/Z", "hmod:p=3,m=1/1", "hmod:p=3,m=1/G")
+                  "(hmat:p=3,m=1/Z)/Z", "hmod:p=3,m=1/1", "hmod:p=3,m=1/G",
+                  "u3:p=3,m=1/Z moved", "hmod:p=3,m=1/Z moved", "quint:p=3,m=1/G' moved",
+                  "hmod:p=7,m=1/Z")
 
 
 @functools.lru_cache(maxsize=None)
 def quotient_cases() -> dict:
+    """Each case's group and normal subgroup.  The moved cases relabel the
+    group so that a central element other than the identity is index 0, so
+    the least member of N is not the identity; hmod:p=7,m=1 lies past the
+    memo table."""
     from pgf.constructions import build_group
 
     cases = {}
-    for spec in ("u3:p=3,m=1", "hmat:p=3,m=1", "hmod:p=3,m=1"):
+    for spec in ("u3:p=3,m=1", "hmat:p=3,m=1", "hmod:p=3,m=1", "hmod:p=7,m=1"):
         g = build_group(spec)
         cases[f"{spec}/Z"] = g, g.center()
     g = build_group("quint:p=3,m=1")
@@ -339,17 +346,42 @@ def quotient_cases() -> dict:
     g = cases["hmod:p=3,m=1/Z"][0]
     cases["hmod:p=3,m=1/1"] = g, g.trivial_subgroup()
     cases["hmod:p=3,m=1/G"] = g, g.full_subgroup()
+    for label in ("u3:p=3,m=1/Z", "hmod:p=3,m=1/Z"):
+        g = center_moved_off_the_identity(cases[label][0])
+        cases[f"{label} moved"] = g, g.center()
+    g = center_moved_off_the_identity(cases["quint:p=3,m=1/G'"][0])
+    cases["quint:p=3,m=1/G' moved"] = g, g.derived_subgroup()
     return cases
 
 
 @pytest.mark.parametrize("label", QUOTIENT_CASES)
 def test_quotient_leaders_match_brute_force(label):
     g, n_sub = quotient_cases()[label]
-    leaders, coset_of = brute_force_cosets(g, n_sub.members)
     q = g.quotient(n_sub)
-    assert np.array_equal(q.backend.leaders, leaders)
-    assert np.array_equal(q.backend.coset_of, coset_of)
+    oracles = [quotient_flood_oracle]
+    if g.order <= pgf.engine.TABLE_CAP:  # n * |N| products past it
+        oracles.append(brute_force_cosets)
+    for oracle in oracles:
+        leaders, coset_of = oracle(g, n_sub.members)
+        assert np.array_equal(q.backend.leaders, leaders)
+        assert np.array_equal(q.backend.coset_of, coset_of)
     assert q.order * n_sub.order == g.order
+
+
+@pytest.mark.parametrize("label", QUOTIENT_CASES)
+def test_quotient_cosets_are_laid_out_one_coset_per_row(label):
+    g, n_sub = quotient_cases()[label]
+    cosets = g.quotient(n_sub).backend.cosets
+    _, coset_of = brute_force_cosets(g, n_sub.members)
+    # row c holds coset c: its members, ascending, are those brute force puts there
+    by_coset = np.argsort(coset_of, kind="stable").reshape(cosets.shape)
+    assert np.array_equal(np.sort(cosets, axis=1), by_coset)
+    # N's own row is N's listing, from the identity; every row is n_k * y_c in that order
+    z = cosets[coset_of[g.identity]]
+    assert z[0] == g.identity
+    assert np.array_equal(g.mul_many(z[None, :], cosets[:, :1]), cosets)
+    if np.all(g.center().contains_many(n_sub.members)):  # central N: also y_c * n_k
+        assert np.array_equal(g.mul_many(cosets[:, :1], z[None, :]), cosets)
 
 
 def test_quotient_oracle_covers_a_noncentral_subgroup_of_rank_above_one():
@@ -359,10 +391,11 @@ def test_quotient_oracle_covers_a_noncentral_subgroup_of_rank_above_one():
     assert g.element_orders()[der.members].max() < der.order
 
 
-def test_quotient_cost_is_n_times_rank():
+def _quotient_rows(spec):
+    """(group, center, rows sent through mul_many by group.quotient(center))."""
     from pgf.constructions import build_group
 
-    g = build_group("hmat:p=3,m=1")
+    g = build_group(spec)
     z = g.center()
     rows = []
     plain = g.mul_many
@@ -374,11 +407,23 @@ def test_quotient_cost_is_n_times_rank():
 
     g.mul_many = counting
     g.quotient(z)
-    n, k, rank = g.order, z.order, 1  # Z(hmat) is cyclic of order p
-    normality = 2 * k * len(g.generators)  # conjugating N by each generator
-    spanning = k * rank * rank  # the closures that pick N's generators
-    assert sum(rows) <= n * rank + normality + spanning
-    assert n * rank + normality + spanning < n * k  # the cost of x*k for every k
+    return g, z, sum(rows)
+
+
+def test_quotient_cost_is_one_span():
+    # the span lists each element once as a coset member, plus one candidate
+    # per coset representative and span generator (at most rank(N) + d)
+    g, z, rows = _quotient_rows("hmat:p=3,m=1")
+    n, k, d = g.order, z.order, len(g.nontrivial_generators)
+    rank = 1  # Z(hmat) is cyclic of order p
+    normality = 2 * k * d  # conjugating N by each generator
+    assert rows == normality + 1_008 == 1_032
+    assert rows - normality <= n + (n // k + k) * (rank + d)
+    assert rows < n * k  # the cost of x*k for every k
+    # a flood along each of N's basis elements would take n * rank(N)
+    g, z, rows = _quotient_rows("hmod:p=3,m=1")
+    assert len(g.basis(z.members)) == 2
+    assert rows - 2 * z.order * len(g.nontrivial_generators) == 270 < g.order * 2
 
 
 def brute_force_center(g):
@@ -1074,11 +1119,13 @@ def test_center_cosets_count_their_products_on_hmod_7(monkeypatch):
     assert g.nontrivial_generators == g.generators[1:] and g.generators[0] == g.identity
     assert sent() == 34_398
     q = g.central_quotient()
-    sent()
-    n, d = g.order, len(g.nontrivial_generators)
+    d = len(g.nontrivial_generators)
+    # one span of G over Z, plus the normality check
+    assert sent() == 16_890 + 2 * z.order * d == 17_184
     g.conjugacy_classes()
-    # the chart (n + |Z|^2), then 2 |G/Z| per generator; 100,842 by element
-    assert sent() == n + z.order ** 2 + 2 * q.order * d == 21_266
+    # the chart reads the quotient's cosets and adds |Z|^2; then 2 |G/Z| per
+    # generator (100,842 by element)
+    assert sent() == z.order ** 2 + 2 * q.order * d == 4_459
     g.centralizer(5)
     assert sent() == 2 * q.order == 686  # 33,614 by element
 
