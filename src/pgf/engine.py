@@ -41,8 +41,9 @@ first read (19.5 MB at order 3125); TABLE_CAP stays below 2**15 so that
 every entry fits in int16.  Larger groups multiply on demand from the
 coordinate rows, CHUNK_PRODUCTS at a time.  The class-3 identity suite,
 exhaustive up to order 300, walks its triples one a-plane at a time over
-n x n tables.  Element enumeration is refused beyond a hard cap (default
-10**6).
+n x n tables, the planes split into contiguous ranges across the cores
+the process may use; its report does not depend on the split.  Element
+enumeration is refused beyond a hard cap (default 10**6).
 
 A group derives these once and stores them: its center, conjugacy
 classes, lower central series, element orders, inverses (row by row, as
@@ -87,6 +88,8 @@ np.unique, whose hash table path on numpy 2.4 is far slower on a shared
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +97,51 @@ import numpy as np
 DEFAULT_CAP = 10**6
 TABLE_CAP = 4096
 IDENTITY_EXHAUSTIVE_LIMIT = 300
+PLANES_PER_WORKER = 16  # fewest a-planes worth a thread of the exhaustive identity walk
 CHUNK_PRODUCTS = 2**16  # rows or products per side in one pass of a chunked scan
+
+
+def _plane_workers(planes: int) -> int:
+    """Threads for an exhaustive identity walk over this many a-planes:
+    the cores this process may run on, but no fewer than
+    PLANES_PER_WORKER planes each, so a small group runs inline."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform reports an affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, planes // PLANES_PER_WORKER))
+
+
+def _plane_cuts(planes: int) -> list[int]:
+    """Cut points 0 = c_0 <= ... <= c_w = planes of w contiguous ranges."""
+    w = _plane_workers(planes)
+    return [planes * k // w for k in range(w + 1)]
+
+
+def _split_planes(walk, cuts) -> list:
+    """walk(lo, hi) on each range [cuts[k], cuts[k+1]), in order.  The
+    calling thread walks the first range; one thread per other range walks
+    the rest, and all are joined before this returns (numpy's take and
+    ufunc loops release the GIL on the n x n arrays of a plane).  An
+    exception in any range is raised here."""
+    out = [None] * (len(cuts) - 1)
+
+    def run(k):
+        try:
+            out[k] = walk(cuts[k], cuts[k + 1])
+        except BaseException as exc:  # re-raised in the calling thread
+            out[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, len(out))]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for res in out:
+        if isinstance(res, BaseException):
+            raise res
+    return out
 
 
 class GroupError(ValueError):
@@ -424,17 +471,23 @@ class FiniteGroup:
         return int(self.power_many(i, e))
 
     def element_orders(self) -> np.ndarray:
+        """Orders of all elements.  On a p-group each element still alive
+        steps x -> x^p (power_many, about 2 log2 p products) and its order
+        gains a factor p; otherwise x^k -> x^(k+1), one product per step."""
         if self._orders is None:
             n = self.order
+            p = self.prime if n > 1 and self.is_prime_power() else None
             orders = np.ones(n, dtype=np.int64)
             cur = np.arange(n, dtype=np.int64)
-            alive = cur != self.identity
-            base = np.arange(n, dtype=np.int64)
-            while alive.any():
-                idx = np.nonzero(alive)[0]
-                cur[idx] = self.mul_many(cur[idx], base[idx])
-                orders[idx] += 1
-                alive[idx] = cur[idx] != self.identity
+            idx = np.flatnonzero(cur != self.identity)
+            while len(idx):
+                if p:
+                    cur[idx] = self.power_many(cur[idx], p)
+                    orders[idx] *= p
+                else:
+                    cur[idx] = self.mul_many(cur[idx], idx)
+                    orders[idx] += 1
+                idx = idx[cur[idx] != self.identity]
             self._orders = orders
         return self._orders
 
@@ -737,14 +790,18 @@ class FiniteGroup:
         is computed (and its row checked against the universe) once.  It
         walks the triples one a-plane at a time: each plane checks every
         (b, c) as n x n gathers from M and C, most of them reads of the
-        plane T[b, c] = [[a, b], c] = C[C[a]] (T.T is [[a, c], b]).  Planes
-        run in increasing a, so the first failure of the first failing plane
-        is the first failing triple in flat order a*n**2 + b*n + c.  The
+        plane T[b, c] = [[a, b], c] = C[C[a]] (T.T is [[a, c], b]).  The
         exponents (i, j, k) of power_commutator_collapse are the base-p
-        digits of that flat index mod p**3, which depend on a only through
-        the residue a*n**2 mod p**3 (0 once n >= p**2): their tables are
-        built once per residue.  The n**2 pairs are read from M and C in
-        one pass.
+        digits of the flat index a*n**2 + b*n + c mod p**3, which depend on
+        a only through the residue a*n**2 mod p**3 (0 once n >= p**2):
+        their tables are built once per residue, all before the walk.  The
+        planes are split into contiguous ranges of a, one per available
+        core (_plane_cuts), each range walked in increasing a by its own
+        thread.  A range returns, per identity, its checked count and its
+        first failing flat index; the counts are summed and the failure of
+        the lowest failing range is the first failing triple in flat order.
+        So the report does not depend on the split or on the core count.
+        The n**2 pairs are read from M and C in one serial pass.
         """
         if self.nilpotency_class() > 3:
             raise GroupError("identity suite requires nilpotency class <= 3")
@@ -768,12 +825,14 @@ class FiniteGroup:
         report = {name: {"passed": True, "checked": 0, "counterexample": None} for name in names}
 
         def record(name, checked, bad, tuples):
+            record_first(name, checked, tuple(t[bad.argmax()] for t in tuples) if bad.any() else None)
+
+        def record_first(name, checked, failing):
             entry = report[name]
             entry["checked"] += int(checked)
-            if entry["passed"] and bad.any():
-                k = int(bad.argmax())
+            if entry["passed"] and failing is not None:
                 entry["passed"] = False
-                entry["counterexample"] = tuple(self.describe(int(t[k])) for t in tuples)
+                entry["counterexample"] = tuple(self.describe(int(x)) for x in failing)
 
         if n > IDENTITY_EXHAUSTIVE_LIMIT:
             mul, comm = self.mul_many, self.commutator_many
@@ -805,27 +864,45 @@ class FiniteGroup:
             M = self.mul_many(b, c).astype(np.int32).reshape(n, n)
             C = self.commutator_many(b, c).astype(np.int32).reshape(n, n)
             zC, CT, pw = zmask[C], np.ascontiguousarray(C.T), pow_t.astype(np.int32)
-            digits = {}
-            for a in range(n):
-                ca = C[a]
-                T = C[ca]
-                at = (np.full(n * n, a), b, c)
-                cond = zC[a] & zC
-                record(names[0], np.count_nonzero(cond), cond & (T != e), at)
-                cond = zmask[ca][:, None]
-                record(names[1], n * np.count_nonzero(cond), cond & (T.T != CT[a].take(C)), at)
-                ok = C[M[a]] == M.take(M.take(ca * n + C) * n + T.T)
-                ok &= ca.take(M) == M.take(M[ca][:, ca] * n + T)
-                record(names[2], n * n, ~ok, at)
-                r = a * n * n % p**3
-                if r not in digits:  # [a^i, b^j] is row i of C[pw[:, a]] at b^j
-                    t = (r + np.arange(n * n, dtype=np.int32).reshape(n, n)) % p**3
-                    i, j, k = t // (p * p), t // p % p, t % p
-                    digits[r] = (i * n + pw.take(j * n + b.reshape(n, n)),
-                                 pw.take(k * n + c.reshape(n, n)), i * j * k % p * n)
-                ij, kc, ijk = digits[r]
-                lhs = C.take(C[pw[:, a]].take(ij) * n + kc)
-                record(names[4], n * n, lhs != pw.take(ijk + T), at)
+            digits = {}  # per residue a*n**2 mod p**3; [a^i, b^j] is row i of C[pw[:, a]] at b^j
+            for r in {a * n * n % p**3 for a in range(n)}:
+                t = (r + np.arange(n * n, dtype=np.int32).reshape(n, n)) % p**3
+                i, j, k = t // (p * p), t // p % p, t % p
+                digits[r] = (i * n + pw.take(j * n + b.reshape(n, n)),
+                             pw.take(k * n + c.reshape(n, n)), i * j * k % p * n)
+
+            def walk(lo, hi):
+                """(checked, first failing flat index or -1) of the four
+                triple identities on the planes lo <= a < hi.  It reads
+                only the arrays above and calls no method of the group,
+                whose memo table and stored caches are not thread-safe."""
+                checked, first = [0] * 4, [-1] * 4
+
+                def note(k, count, bad):
+                    checked[k] += count
+                    if first[k] < 0 and bad.any():
+                        first[k] = a * n * n + int(bad.argmax())
+
+                for a in range(lo, hi):
+                    ca = C[a]
+                    T = C[ca]
+                    cond = zC[a] & zC
+                    note(0, np.count_nonzero(cond), cond & (T != e))
+                    cond = zmask[ca][:, None]
+                    note(1, n * np.count_nonzero(cond), cond & (T.T != CT[a].take(C)))
+                    ok = C[M[a]] == M.take(M.take(ca * n + C) * n + T.T)
+                    ok &= ca.take(M) == M.take(M[ca][:, ca] * n + T)
+                    note(2, n * n, ~ok)
+                    ij, kc, ijk = digits[a * n * n % p**3]
+                    lhs = C.take(C[pw[:, a]].take(ij) * n + kc)
+                    note(3, n * n, lhs != pw.take(ijk + T))
+                return checked, first
+
+            ranges = _split_planes(walk, _plane_cuts(n))
+            for k, name in enumerate(names[:3] + names[4:]):
+                first = next((f[k] for _, f in ranges if f[k] >= 0), -1)
+                record_first(name, sum(c[k] for c, _ in ranges),
+                             None if first < 0 else (first // (n * n), first // n % n, first % n))
             a, b = b, c  # the n**2 pairs
 
             def mul(u, v):

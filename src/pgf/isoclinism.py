@@ -189,14 +189,11 @@ def _search_bijections(a: FiniteGroup, b: FiniteGroup, budget: _Budget, on_found
         picked = amap[amap != -1]
         return len(sorted_unique(picked)) == len(picked)
 
-    def rec(level, srcs, imgs):
+    def rec(level, srcs, imgs, induced):
+        # induced: the injective map that srcs -> imgs induces, built and
+        # checked by the caller
         if level == len(gens):
-            amap = _induced_map(a, b, srcs, imgs)
-            if amap is None or np.any(amap == -1):
-                return False
-            if not injective(amap):
-                return False
-            return on_found(amap)
+            return not np.any(induced == -1) and on_found(induced)
         g = gens[level]
         for h in buckets.get(tuple(fpa[g].tolist()), []):
             budget.tick()
@@ -205,11 +202,13 @@ def _search_bijections(a: FiniteGroup, b: FiniteGroup, budget: _Budget, on_found
             # collision on the partial span already kills this branch
             if amap is None or not injective(amap):
                 continue
-            if rec(level + 1, srcs + [g], imgs + [h]):
+            if rec(level + 1, srcs + [g], imgs + [h], amap):
                 return True
         return False
 
-    return rec(0, [], [])
+    root = np.full(a.order, -1, dtype=np.int64)  # no generator assigned: the identity only
+    root[a.identity] = b.identity
+    return rec(0, [], [], root)
 
 
 @dataclass

@@ -1035,6 +1035,42 @@ def oracle_element_orders(table, identity):
     return orders
 
 
+def test_element_orders_by_pth_powers_past_the_memo_table():
+    from pgf.constructions import build_group
+    g = build_group("xab:hmod:p=3,m=1,k=3")
+    assert g.order > pgf.engine.TABLE_CAP
+    products = []
+    mul_many = g.mul_many
+
+    def counting(i, j):
+        out = mul_many(i, j)
+        products.append(out.size)
+        return out
+
+    g.mul_many = counting
+    orders = g.element_orders()
+    # exponent 9: each of the 6,560 elements other than the identity steps
+    # x -> x^3 once and the 2,916 of order 9 twice, three products a step
+    # (power_many), where x^k -> x^(k+1) would cost the sum of the orders
+    assert np.bincount(orders).tolist() == [0, 1, 0, 3644] + [0] * 5 + [2916]
+    assert sum(products) == 3 * (6560 + 2916) == 28428
+    assert int(orders.sum()) - 1 == 37176
+    # x^order(x) is the identity and x^(order(x)/3) is not
+    idx = np.arange(g.order)
+    powers = {s: g.power_many(idx, s) for s in (1, 3, 9)}
+    for o in (1, 3, 9):
+        at = orders == o
+        assert np.all(powers[o][at] == g.identity)
+        assert o == 1 or not np.any(powers[o // 3][at] == g.identity)
+
+
+@pytest.mark.parametrize("make", [sym3, lambda: cyclic(12), lambda: cyclic(27)])
+def test_element_orders_off_and_on_p_groups_match_the_cayley_table(make):
+    # sym3 and C12 take the one-product steps, C27 the steps x -> x^3
+    g = make()
+    assert np.array_equal(g.element_orders(), oracle_element_orders(cayley_table(g), g.identity))
+
+
 @pytest.mark.parametrize("label", INVARIANT_CASES)
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
@@ -1215,6 +1251,13 @@ SKEWED_CASES = {
     "u3:p=3,m=1, [x, y] = e for its first two generators": u3_31_skewed,
     "cyclic(9), [(3), (1)] = (3)": lambda: skewed(cyclic(9), [3], [1], [3]),
     "cyclic(3), [(1), (2)] = (1)": lambda: skewed(cyclic(3), [1], [2], [1]),
+    # central_pair_triple_vanishes fails only in plane 26 and
+    # central_commutator_swap only in planes 25 and 26, the last range of
+    # every split of the 27 planes into two to four ranges
+    "cyclic(27), [(26), (25)] = (26)": lambda: skewed(cyclic(27), [26], [25], [26]),
+    # central_commutator_swap fails in planes 5 and 24, the first and the
+    # last range of every such split
+    "cyclic(27), [(5), (24)] = (5)": lambda: skewed(cyclic(27), [5], [24], [5]),
 }
 IDENTITY_CASES = {
     "heis(3)": lambda: heis(3),
@@ -1324,6 +1367,128 @@ def test_class3_identities_sampled_path(monkeypatch):
     assert rep["product_expansion"]["checked"] == 500
     assert rep == class3_identity_oracle(heis(5), samples=500)
     assert rep == heis(5).check_class3_identities(samples=500)  # the draws are fixed
+
+
+def even_cuts(ranges):
+    """A _plane_cuts that splits the planes into this many ranges."""
+    return lambda planes: [planes * k // ranges for k in range(ranges + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def identity_oracle_report(label):
+    """class3_identity_oracle on IDENTITY_CASES[label], exhaustive."""
+    g = IDENTITY_CASES[label]()
+    return class3_identity_oracle(g, skew=getattr(g, "skew", None))
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 4])
+@pytest.mark.parametrize("label", list(IDENTITY_CASES))
+def test_class3_identities_split_matches_brute_force(label, ranges, monkeypatch):
+    # whole reports, counterexamples included, for every split of the planes
+    monkeypatch.setattr(pgf.engine, "_plane_cuts", even_cuts(ranges))
+    assert IDENTITY_CASES[label]().check_class3_identities() == identity_oracle_report(label)
+
+
+# class3_identity_oracle's report on hmod:p=3,m=1, pinned: the oracle takes
+# about 40 s there in plain Python
+HMOD31_REPORT = {name: {"passed": True, "checked": checked, "counterexample": None}
+                 for name, checked in (("central_pair_triple_vanishes", 3_011_499),
+                                       ("central_commutator_swap", 5_845_851),
+                                       ("product_expansion", 243 ** 3),
+                                       ("power_expansion", 243 ** 2),
+                                       ("power_commutator_collapse", 243 ** 3))}
+
+
+@pytest.fixture(scope="module")
+def hmod31():
+    from pgf.constructions import build_group
+    return build_group("hmod:p=3,m=1")
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 4])
+def test_class3_identities_split_on_hmod(hmod31, ranges, monkeypatch):
+    monkeypatch.setattr(pgf.engine, "_plane_cuts", even_cuts(ranges))
+    # up to four ranges on however many cores, switching threads often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert hmod31.check_class3_identities() == HMOD31_REPORT
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("ranges", [2, 3, 4])
+@pytest.mark.parametrize("label,name,failing", [
+    ("cyclic(27), [(26), (25)] = (26)", "central_pair_triple_vanishes", "last"),
+    ("cyclic(27), [(26), (25)] = (26)", "central_commutator_swap", "last"),
+    ("cyclic(27), [(5), (24)] = (5)", "central_commutator_swap", "first and last"),
+])
+def test_class3_identities_merge_takes_the_lowest_failing_range(label, name, failing, ranges,
+                                                                 monkeypatch):
+    # each range's (checked, first failing flat index) of the four triple
+    # identities, as the merge reads them
+    split = pgf.engine._split_planes
+    seen = []
+
+    def spy(walk, cuts):
+        seen.append(split(walk, cuts))
+        return seen[0]
+
+    monkeypatch.setattr(pgf.engine, "_plane_cuts", even_cuts(ranges))
+    monkeypatch.setattr(pgf.engine, "_split_planes", spy)
+    g = IDENTITY_CASES[label]()
+    rep = g.check_class3_identities()
+    assert rep == identity_oracle_report(label)
+    k = ["central_pair_triple_vanishes", "central_commutator_swap", "product_expansion",
+         "power_commutator_collapse"].index(name)
+    fails = [r for r, (_, first) in enumerate(seen[0]) if first[k] >= 0]
+    assert fails == ([ranges - 1] if failing == "last" else [0, ranges - 1])
+    a = seen[0][fails[0]][1][k] // g.order ** 2
+    assert rep[name]["counterexample"][0] == g.describe(a)
+    assert sum(checked[k] for checked, _ in seen[0]) == rep[name]["checked"]
+
+
+def test_plane_workers_respect_the_cores_and_the_plane_cap(monkeypatch):
+    for cores in (1, 2, 3, 64):
+        monkeypatch.setattr(pgf.engine.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        for planes in range(0, 301):
+            w = pgf.engine._plane_workers(planes)
+            assert 1 <= w <= cores
+            assert w == 1 or planes // w >= pgf.engine.PLANES_PER_WORKER
+            cuts = pgf.engine._plane_cuts(planes)
+            assert len(cuts) == w + 1 and cuts[0] == 0 and cuts[-1] == planes
+            assert all(lo <= hi for lo, hi in zip(cuts, cuts[1:]))
+        assert pgf.engine._plane_workers(243) == min(cores, 243 // pgf.engine.PLANES_PER_WORKER)
+    # without an affinity the count falls back to os.cpu_count()
+    monkeypatch.delattr(pgf.engine.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(pgf.engine.os, "cpu_count", lambda: 3)
+    assert pgf.engine._plane_workers(243) == 3
+    monkeypatch.setattr(pgf.engine.os, "cpu_count", lambda: None)
+    assert pgf.engine._plane_workers(243) == 1
+
+
+def test_class3_identities_below_the_plane_cap_start_no_thread(monkeypatch):
+    monkeypatch.setattr(pgf.engine.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+    def no_thread(*args, **kw):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(pgf.engine.threading, "Thread", no_thread)
+    g = u3_31()
+    assert g.order < 2 * pgf.engine.PLANES_PER_WORKER
+    assert g.check_class3_identities() == class3_identity_oracle(g)
+
+
+def test_split_planes_raises_a_range_failure_after_the_join():
+    def walk(lo, hi):
+        if lo:
+            raise ZeroDivisionError(lo)
+        return lo, hi
+
+    assert pgf.engine._split_planes(walk, [0, 5]) == [(0, 5)]
+    with pytest.raises(ZeroDivisionError):
+        pgf.engine._split_planes(walk, [0, 5, 9])
 
 
 def test_class3_identities_reject_bad_input():

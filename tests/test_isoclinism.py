@@ -491,6 +491,31 @@ SPEC_MATRIX = ([f"{fam}:p={p},m={m}" for fam in ("u3", "quint", "hmat", "hmod")
                + [f"xab:hmod:p={p},m={m},k=1" for p, m in ((3, 1), (5, 1), (7, 1), (3, 2))])
 
 
+# a pair, the nodes of its search, and phi at the search generators of the
+# first witness
+FIRST_WITNESSES = [(("hmod:p=3,m=1", "quint:p=3,m=1"), 4, [1, 3]),
+                   (("hmod:p=5,m=1", "quint:p=5,m=1"), 6, [1, 5]),
+                   (("hmod:p=7,m=1", "quint:p=7,m=1"), 8, [1, 7]),
+                   (("hmod:p=3,m=2", "quint:p=3,m=2"), 40, [1, 3, 9, 27]),
+                   (("u3:p=3,m=1", "xab:u3:p=3,m=1,k=1"), 4, [1, 3])]
+
+
+@pytest.mark.parametrize("specs,nodes,images", FIRST_WITNESSES,
+                         ids=["/".join(s) for s, _, _ in FIRST_WITNESSES])
+def test_search_builds_each_partial_map_once(built, monkeypatch, specs, nodes, images):
+    # one _induced_map per node, the leaf reusing its parent's map, plus
+    # the one of _force_theta for the witness
+    calls = []
+    induced = isoclinism._induced_map
+    monkeypatch.setattr(isoclinism, "_induced_map", lambda *args: calls.append(1) or induced(*args))
+    g, h = map(built, specs)
+    res = are_isoclinic(g, h)
+    assert res.outcome == "isoclinic" and res.nodes == nodes
+    assert len(calls) == nodes + 1
+    assert res.witness.phi[commutation_map(g).gens].tolist() == images
+    assert verify_isoclinism_witness(g, h, res.witness)
+
+
 @pytest.mark.parametrize("spec", SPEC_MATRIX)
 def test_search_depth_is_the_frattini_rank(spec):
     # Burnside's basis theorem: every minimal generating set of a p-group
