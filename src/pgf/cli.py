@@ -9,7 +9,6 @@ or a decision was refuted, 2 unusable arguments, 3 a size cap was hit,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -36,39 +35,27 @@ def _add_pretty(sp: argparse.ArgumentParser):
                     help="render the report as a table instead of raw JSON")
 
 
-def _add_common(sp: argparse.ArgumentParser):
-    sp.add_argument("--cache-dir", default=None,
-                    help="directory for cached results (default: $PGF_CACHE_DIR, else no cache)")
-    sp.add_argument("--force", action="store_true", help="recompute cached results")
-    _add_pretty(sp)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pgf", description="finite p-group laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # no command draws random numbers, so none takes a seed; invariants and
-    # verify cache their reports and take --cache-dir and --force
+    # no command draws random numbers, so none takes a seed
     p = sub.add_parser("invariants", help="order, class, conjugate type of a group")
     p.add_argument("spec", help="group spec, e.g. hmod:p=3,m=1")
-    _add_common(p)
+    _add_pretty(p)
 
     p = sub.add_parser("verify", help="run a structure check suite")
     p.add_argument("spec")
     p.add_argument("suite", choices=SUITES + ("all",))
-    _add_common(p)
+    _add_pretty(p)
 
-    # an isoclinism decision is never cached, so it takes no --cache-dir;
-    # its --force lifts the search cap
     p = sub.add_parser("isoclinic", help="decide isoclinism of two groups")
     p.add_argument("spec_a")
     p.add_argument("spec_b")
     p.add_argument("--force", action="store_true", help="lift the isoclinism search cap")
     _add_pretty(p)
 
-    # structure constants are computed, never cached, so kappa takes
-    # neither --cache-dir nor --force
     p = sub.add_parser("kappa", help="field structure constants as JSON")
     p.add_argument("p", type=int)
     p.add_argument("m", type=int)
@@ -78,11 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cache(args) -> rp.ReportCache:
-    root = args.cache_dir or os.environ.get("PGF_CACHE_DIR")
-    return rp.ReportCache(root)
-
-
 def _emit(args, payload: dict):
     text = rp.render_pretty(payload) if args.pretty else rp.to_json(payload)
     sys.stdout.write(text)
@@ -90,20 +72,14 @@ def _emit(args, payload: dict):
 
 def cmd_invariants(args) -> int:
     spec = parse_group_spec(args.spec)
-    modulus = spec.field().modulus
-    canonical = spec.canonical()
-    cache = _cache(args)
     timings: dict = {}
-    payload = None if args.force else cache.load(canonical, modulus, "invariants")
-    if payload is None:
-        t0 = time.perf_counter()
-        g = build_group(spec)
-        timings["build_ms"] = 1000 * (time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        payload = {"summary": rp.group_summary(g), "checks": []}
-        timings["invariants_ms"] = 1000 * (time.perf_counter() - t0)
-        cache.store(canonical, modulus, "invariants", payload)
-    report = rp.assemble_report(canonical, payload["summary"], payload["checks"], timings)
+    t0 = time.perf_counter()
+    g = build_group(spec)
+    timings["build_ms"] = 1000 * (time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    summary = rp.group_summary(g)
+    timings["invariants_ms"] = 1000 * (time.perf_counter() - t0)
+    report = rp.assemble_report(spec.canonical(), summary, [], timings)
     _emit(args, report)
     return EXIT_OK
 
@@ -177,46 +153,37 @@ def _presentation_checks(g: FiniteGroup, profile: st.CheckReport, checks: list):
 
 def cmd_verify(args) -> int:
     spec = parse_group_spec(args.spec)
-    modulus = spec.field().modulus
     canonical = spec.canonical()
     selected = SUITES if args.suite == "all" else (args.suite,)
-    cache = _cache(args)
-    cache_key = f"verify:{args.suite}"
     timings: dict = {}
-    payload = None if args.force else cache.load(canonical, modulus, cache_key)
-    if payload is None:
+    t0 = time.perf_counter()
+    g = build_group(spec)
+    timings["build_ms"] = 1000 * (time.perf_counter() - t0)
+    checks: list = []
+    params = None
+    t0 = time.perf_counter()
+    profile = st.verify_class3_profile(g)
+    if "a2" in selected:
+        _flatten(checks, "a2", profile)
+    timings["profile_ms"] = 1000 * (time.perf_counter() - t0)
+    if "structural" in selected:
         t0 = time.perf_counter()
-        g = build_group(spec)
-        timings["build_ms"] = 1000 * (time.perf_counter() - t0)
-        checks: list = []
-        params = None
+        if profile.passed:
+            _flatten(checks, "structural", st.verify_structural_suite(g, profile))
+        else:
+            _skip(checks, "structural", "class-3 square-type profile fails")
+        timings["structural_ms"] = 1000 * (time.perf_counter() - t0)
+    if "presentation" in selected:
         t0 = time.perf_counter()
-        profile = st.verify_class3_profile(g)
-        if "a2" in selected:
-            _flatten(checks, "a2", profile)
-        timings["profile_ms"] = 1000 * (time.perf_counter() - t0)
-        if "structural" in selected:
-            t0 = time.perf_counter()
-            if profile.passed:
-                _flatten(checks, "structural", st.verify_structural_suite(g, profile))
-            else:
-                _skip(checks, "structural", "class-3 square-type profile fails")
-            timings["structural_ms"] = 1000 * (time.perf_counter() - t0)
-        if "presentation" in selected:
-            t0 = time.perf_counter()
-            if profile.passed:
-                params = _presentation_checks(g, profile, checks)
-            else:
-                _skip(checks, "presentation", "class-3 square-type profile fails")
-            timings["presentation_ms"] = 1000 * (time.perf_counter() - t0)
-        payload = {"summary": rp.group_summary(g), "checks": checks, "params": params}
-        cache.store(canonical, modulus, cache_key, payload)
-        # the parameter file is written by the run that extracts the
-        # parameters; a cache hit writes nothing
-        if params is not None:
-            rp.write_json_atomic(rp.params_file_path(canonical),
-                                 {"schema": rp.SCHEMA, "spec": canonical, "params": params})
-    report = rp.assemble_report(canonical, payload["summary"], payload["checks"], timings)
+        if profile.passed:
+            params = _presentation_checks(g, profile, checks)
+        else:
+            _skip(checks, "presentation", "class-3 square-type profile fails")
+        timings["presentation_ms"] = 1000 * (time.perf_counter() - t0)
+    if params is not None:
+        rp.write_json_atomic(rp.params_file_path(canonical),
+                             {"schema": rp.SCHEMA, "spec": canonical, "params": params})
+    report = rp.assemble_report(canonical, rp.group_summary(g), checks, timings)
     _emit(args, report)
     return EXIT_OK if rp.all_checks_pass(report) else EXIT_FAIL
 

@@ -491,9 +491,6 @@ class FiniteGroup:
             self._orders = orders
         return self._orders
 
-    def element_order(self, i: int) -> int:
-        return int(self.element_orders()[i])
-
     def exponent(self) -> int:
         return int(math.lcm(*sorted_unique(self.element_orders()).tolist()))
 

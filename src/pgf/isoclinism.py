@@ -417,7 +417,7 @@ def are_isoclinic(g: FiniteGroup, h: FiniteGroup,
         raise CapExceeded(
             f"isoclinism search on central quotients of order {gq} and derived "
             f"subgroups of order {gd} exceeds the default cap {SEARCH_CAP}; "
-            f"pass allow_large=True to override")
+            f"pass allow_large=True (pgf isoclinic --force) to override")
     am = commutation_map(g)
     bm = commutation_map(h)
     if g is h:

@@ -1,4 +1,4 @@
-"""JSON reports with deterministic serialization and an on-disk cache.
+"""JSON reports with deterministic serialization.
 
 Reports carry a schema version and serialize with sorted keys and fixed
 separators, so two runs over the same inputs emit identical bytes apart
@@ -8,8 +8,6 @@ dict, never a second data path.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import json
 import os
 import sys
@@ -132,49 +130,3 @@ def spec_slug(spec: str) -> str:
 def params_file_path(spec: str) -> Path:
     """Where `pgf verify` writes the parameters of spec: the working directory."""
     return Path(f"params-{spec_slug(spec)}.json")
-
-
-@functools.cache
-def source_digest() -> str:
-    """sha256 over the package's .py sources, by relative path and content."""
-    package = Path(__file__).resolve().parent
-    h = hashlib.sha256()
-    for path in sorted(package.rglob("*.py")):
-        h.update(path.relative_to(package).as_posix().encode() + b"\0")
-        h.update(path.read_bytes() + b"\0")
-    return h.hexdigest()
-
-
-class ReportCache:
-    """One file per (spec, check), keyed by a content hash.
-
-    The key folds in the resolved field modulus, the tool version and a
-    digest of the package sources, so a version bump, a code change or a
-    different modulus never reuses a stale entry.  The sources are read once
-    per process, and only by a cache with a root.  Writes go through a temp
-    file and an atomic rename.
-    """
-
-    def __init__(self, root=None):
-        self.root = Path(root) if root else None
-
-    def _path(self, spec: str, modulus, check: str) -> Path:
-        text = f"{spec}|{list(modulus)}|{__version__}|{source_digest()}|{check}"
-        digest = hashlib.sha256(text.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def load(self, spec: str, modulus, check: str):
-        if self.root is None:
-            return None
-        path = self._path(spec, modulus, check)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def store(self, spec: str, modulus, check: str, payload: dict):
-        if self.root is None:
-            return
-        write_json_atomic(self._path(spec, modulus, check), payload)

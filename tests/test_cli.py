@@ -1,5 +1,6 @@
-"""Exit codes, JSON shape, caching, and determinism of the command line."""
+"""Exit codes, JSON shape, options, and determinism of the command line."""
 
+import argparse
 import json
 import pathlib
 import subprocess
@@ -7,9 +8,10 @@ import sys
 
 import pytest
 
+import pgf.isoclinism
 from pgf import report as rp
 from pgf import structure as st
-from pgf.cli import main
+from pgf.cli import build_parser, main
 
 
 def run(capsys, argv):
@@ -72,17 +74,6 @@ def test_bad_spec_exit(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("flag", [["--seed", "5"]], ids=["seed"])
-def test_invariants_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
-    # the invariants draw no random numbers, so a seed would do nothing
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["invariants", "u3:p=3,m=1", *flag])
-    assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "hmod:p=3,m=1", "everything"])
@@ -125,17 +116,6 @@ def test_verify_all_extracts_each_frame_once(capsys, tmp_path, monkeypatch, spec
     by_name = {c["name"]: c for c in d["checks"]}
     assert by_name["presentation:frame_independence"]["witness"] == {
         "frames_compared": frames - 1, "mismatched": {}}
-
-
-@pytest.mark.parametrize("flag", [["--seed", "5"]], ids=["seed"])
-def test_verify_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
-    # the central shift is fixed at z_1, so no check draws a random number
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "hmod:p=3,m=1", "all", *flag])
-    assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_class2_group_fails_profile(capsys):
@@ -191,16 +171,15 @@ def test_isoclinic_self_gives_identity_witness(capsys):
     assert phi == list(range(27))
 
 
-@pytest.mark.parametrize("flag", [["--cache-dir", "somewhere"], ["--seed", "5"]],
-                         ids=["cache-dir", "seed"])
-def test_isoclinic_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
-    # a decision is neither cached nor sampled, so these flags would do nothing
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["isoclinic", "u3:p=3,m=1", "xab:u3:p=3,m=1,k=1", *flag])
-    assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+def test_isoclinic_force_lifts_the_search_cap(capsys, monkeypatch):
+    argv = ["isoclinic", "u3:p=3,m=1", "xab:u3:p=3,m=1,k=1"]
+    monkeypatch.setattr(pgf.isoclinism, "SEARCH_CAP", 8)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert "--force" in err
+    code, d, _ = run_json(capsys, argv + ["--force"])
+    assert code == 0
+    assert d["checks"][0]["witness"]["outcome"] == "isoclinic"
 
 
 # -- kappa -------------------------------------------------------------------
@@ -226,18 +205,6 @@ def test_kappa_explicit_modulus(capsys):
     assert d["kappa"][0][0] == [1, 0]
 
 
-@pytest.mark.parametrize("flag", [["--cache-dir", "somewhere"], ["--seed", "5"], ["--force"]],
-                         ids=["cache-dir", "seed", "force"])
-def test_kappa_rejects_unused_flags(capsys, tmp_path, monkeypatch, flag):
-    # structure constants are neither cached nor sampled
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(["kappa", "3", "2", *flag])
-    assert exc.value.code == 2
-    assert flag[0] in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_kappa_pretty(capsys):
     code, out, _ = run(capsys, ["kappa", "3", "2", "--modulus", "2,1,1", "--pretty"])
     assert code == 0
@@ -250,74 +217,73 @@ def test_kappa_composite_rejected(capsys):
     assert "prime" in err
 
 
-# -- caching and determinism -------------------------------------------------
+# -- options -----------------------------------------------------------------
 
 
-def test_cache_hit_matches_cold_run(capsys, tmp_path):
-    argv = ["verify", "hmod:p=3,m=1", "structural", "--cache-dir", str(tmp_path)]
-    code1, d1, _ = run_json(capsys, argv)
-    assert len(list(tmp_path.glob("*.json"))) == 1
-    code2, d2, _ = run_json(capsys, argv)
-    assert (code1, code2) == (0, 0)
-    t1 = d1.pop("timings")
-    t2 = d2.pop("timings")
-    assert d1 == d2
-    assert t1 and t2 == {}
-    code3, d3, _ = run_json(capsys, argv + ["--force"])
-    d3.pop("timings")
-    assert d3 == d1
+COMMANDS = {
+    "invariants": ["invariants", "u3:p=3,m=1"],
+    "verify": ["verify", "hmod:p=3,m=1", "all"],
+    "isoclinic": ["isoclinic", "u3:p=3,m=1", "xab:u3:p=3,m=1,k=1"],
+    "kappa": ["kappa", "3", "2"],
+}
+
+# no command draws random numbers or reads a cache, and only isoclinic has
+# a search cap for --force to lift
+UNUSED_FLAGS = [(cmd, flag) for cmd in COMMANDS
+                for flag in (["--cache-dir", "X"], ["--seed", "5"], ["--force"])
+                if not (cmd == "isoclinic" and flag == ["--force"])]
 
 
-def test_cache_hit_writes_no_parameter_file(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, flag", UNUSED_FLAGS,
+                         ids=[f"{c}-{f[0].lstrip('-')}" for c, f in UNUSED_FLAGS])
+def test_commands_reject_unused_flags(capsys, tmp_path, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*COMMANDS[command], *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_option_surface():
+    # a new option has to change this table, so it shows up in review
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, sp in sub.choices.items()}
+    assert options == {
+        "invariants": {"--pretty"},
+        "verify": {"--pretty"},
+        "isoclinic": {"--force", "--pretty"},
+        "kappa": {"--modulus", "--pretty"},
+    }
+
+
+# -- determinism -------------------------------------------------------------
+
+
+def test_every_run_computes_and_writes_its_parameter_file(capsys, tmp_path, monkeypatch):
+    # PGF_CACHE_DIR names no cache: nothing is read from it or written to it,
+    # and each verify run writes the parameter file afresh
+    cache = tmp_path / "cache"
     work = tmp_path / "work"
+    cache.mkdir()
     work.mkdir()
+    monkeypatch.setenv("PGF_CACHE_DIR", str(cache))
     monkeypatch.chdir(work)
-    argv = ["verify", "hmod:p=3,m=1", "all", "--cache-dir", str(tmp_path / "cache")]
-    code1, d1, _ = run_json(capsys, argv)
-    written = list(work.glob("params-*.json"))
-    assert len(written) == 1
-    written[0].unlink()
-    code2, d2, _ = run_json(capsys, argv)
-    assert (code1, code2) == (0, 0)
-    assert list(work.iterdir()) == []
-    assert d1.pop("timings") and d2.pop("timings") == {}
-    assert d1 == d2
-
-
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PGF_CACHE_DIR", str(tmp_path))
-    run_json(capsys, ["invariants", "u3:p=3,m=1"])
-    assert len(list(tmp_path.glob("*.json"))) == 1
-
-
-def test_cache_key_separates_moduli(capsys, tmp_path):
-    base = ["--cache-dir", str(tmp_path)]
-    run_json(capsys, ["invariants", "u3:p=3,m=2"] + base)
-    run_json(capsys, ["invariants", "u3:p=3,m=2,modulus=[2,1,1]"] + base)
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
-def test_cache_key_folds_in_the_source_digest(capsys, tmp_path, monkeypatch):
-    argv = ["invariants", "u3:p=3,m=1", "--cache-dir", str(tmp_path)]
-    run_json(capsys, argv)
-    _, d, _ = run_json(capsys, argv)
-    assert d["timings"] == {}
-    # a code change without a version bump must not be served the old entry
-    monkeypatch.setattr(rp, "source_digest", lambda: "0" * 64)
-    _, d, _ = run_json(capsys, argv)
-    assert d["timings"]
-    assert len(list(tmp_path.glob("*.json"))) == 2
-
-
-def test_sources_are_not_read_without_a_cache(capsys, monkeypatch):
-    def refuse():
-        raise AssertionError("source digest computed without a cache root")
-
-    monkeypatch.delenv("PGF_CACHE_DIR", raising=False)
-    monkeypatch.setattr(rp, "source_digest", refuse)
-    code, d, _ = run_json(capsys, ["invariants", "u3:p=3,m=1"])
-    assert code == 0
-    assert d["timings"]
+    for _ in range(2):
+        code, d, _ = run_json(capsys, ["invariants", "u3:p=3,m=1"])
+        assert code == 0 and d["timings"]
+    written = []
+    for _ in range(2):
+        code, d, _ = run_json(capsys, ["verify", "hmod:p=3,m=1", "all"])
+        assert code == 0 and d["timings"]
+        assert [p.name for p in work.iterdir()] == ["params-hmod-p-3-m-1.json"]
+        params = work / "params-hmod-p-3-m-1.json"
+        written.append(params.read_bytes())
+        params.unlink()
+    assert written[0] == written[1]
+    assert list(cache.iterdir()) == []
 
 
 def test_reports_byte_identical_without_timings(capsys):

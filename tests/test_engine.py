@@ -131,7 +131,7 @@ def test_cyclic_basics():
     assert g.exponent() == 12
     for k in range(12):
         row = int(g.rows[k, 0])
-        assert g.element_order(k) == 12 // np.gcd(12, row)
+        assert g.element_orders()[k] == 12 // np.gcd(12, row)
     assert g.center().order == 12
     assert g.conjugate_type() == [1]
     assert g.nilpotency_class() == 1
